@@ -44,6 +44,7 @@ from .registers import (
     detect_cycle,
     expand,
     minimal_period,
+    output_rows,
     run,
     step,
 )

@@ -11,7 +11,7 @@ import json
 import sys
 
 from . import analysis, gf2n, registers, search
-from .registers import RegisterSpec, RegisterState, SpecError
+from .registers import RegisterSpec, RegisterState, SpecError, StepBudgetExceeded
 from .search import SearchBudgetExceeded
 
 EXIT_OK = 0
@@ -31,7 +31,24 @@ def _load_init(args, spec: RegisterSpec) -> RegisterState:
     if args.init is None:
         return spec.zero_state()
     d = json.loads(args.init)
-    return spec.state(d["a"], d["m"])
+    try:
+        return spec.state(d["a"], d["m"])
+    except (KeyError, TypeError) as exc:
+        raise SpecError(f'--init needs a JSON object with "a" and "m" lists ({exc!r})') from exc
+
+
+def _bit_string(x: int, count: int) -> str:
+    """Bits 0 .. count-1 of x, bit 0 first."""
+    return bin(x | 1 << count)[:2:-1]
+
+
+def _pack_bytes(rows, count: int) -> bytes:
+    """Bit t of rows[j] at bit t*len(rows) + j, packed little-endian."""
+    if not count:
+        return b""
+    strings = [_bit_string(x, count) for x in rows]
+    flat = "".join(map("".join, zip(*strings)))
+    return int(flat[::-1], 2).to_bytes((len(flat) + 7) // 8, "little")
 
 
 def cmd_simulate(args) -> int:
@@ -40,44 +57,33 @@ def cmd_simulate(args) -> int:
     steps = args.steps
     if steps < 0:
         raise SpecError("--steps must be >= 0")
-    if steps == 0:
-        bits = [[] for _ in range(spec.r * spec.n)]
-        mems = []
-    else:
-        bits, mems = registers.run(spec, init, steps - 1)
     out = sys.stdout
-    if args.format == "bits":
-        for i, row in enumerate(bits):
-            cell, coord = divmod(i, spec.n)
-            out.write(f"a{coord}^{cell} " + "".join(str(b) for b in row) + "\n")
-    elif args.format == "csv":
-        for row in bits:
-            out.write(",".join(str(b) for b in row) + "\n")
-    elif args.format == "bytes":
-        n = spec.n
-        if n > 8:
-            raise SpecError("bytes format needs n <= 8")
-        acc = nbits = 0
-        chunks = bytearray()
-        for t in range(steps):
-            for j in range(n):  # cell 0 coordinates, packed little-endian
-                acc |= bits[j][t] << nbits
-                nbits += 1
-                if nbits == 8:
-                    chunks.append(acc)
-                    acc = nbits = 0
-        if nbits:
-            chunks.append(acc)
-        sys.stdout.buffer.write(bytes(chunks))
-    else:  # structured
+    if args.format == "structured":
+        if steps == 0:
+            bits = [[] for _ in range(spec.r * spec.n)]
+            mems = []
+        else:
+            bits, mems = registers.run(spec, init, steps - 1)
         doc = {
             "spec": spec.to_dict(),
             "steps": steps,
-            "bits": [[int(b) for b in row] for row in bits],
+            "bits": bits,
             "memory": [[str(x) for x in row] for row in mems],
         }
-        json.dump(doc, out, sort_keys=True)
-        out.write("\n")
+        out.write(json.dumps(doc, sort_keys=True) + "\n")
+        return EXIT_OK
+    if args.format == "bytes" and spec.n > 8:
+        raise SpecError("bytes format needs n <= 8")
+    rows = registers.output_rows(spec, init, steps)
+    if args.format == "bytes":  # cell 0 coordinates
+        sys.stdout.buffer.write(_pack_bytes(rows[: spec.n], steps))
+    elif args.format == "bits":
+        for i, x in enumerate(rows):
+            cell, coord = divmod(i, spec.n)
+            out.write(f"a{coord}^{cell} {_bit_string(x, steps)}\n")
+    else:  # csv
+        for x in rows:
+            out.write(",".join(_bit_string(x, steps)) + "\n")
     return EXIT_OK
 
 
@@ -208,7 +214,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except SearchBudgetExceeded as exc:
+    except (SearchBudgetExceeded, StepBudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except (SpecError, gf2n.PolynomialError, ValueError, OSError, json.JSONDecodeError) as exc:

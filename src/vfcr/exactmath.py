@@ -47,6 +47,52 @@ def det_exact(matrix) -> int:
     return sign * m[d - 1][d - 1]
 
 
+def det_adj_left(matrix, v) -> tuple:
+    """(det A, v adj(A)) exactly, for a square integer matrix A = I (mod 2).
+
+    Such an A has odd determinant, and elimination modulo 2^K needs no
+    pivoting: every pivot stays odd.  K comes from Hadamard's bound on det A
+    and on its cofactors (every row norm is >= 1, as the diagonal is odd), so
+    the symmetric residues are the exact integers.  The cost is O(d^3)
+    products of K-bit numbers, with K about log2 |det A|.
+    """
+    d = len(matrix)
+    if d == 0 or any(len(row) != d for row in matrix) or len(v) != d:
+        raise ValueError("matrix must be square and nonempty, v of matching length")
+    norms = 1
+    for row in matrix:
+        norms *= sum(x * x for x in row)
+    bound = (math.isqrt(norms) + 1) * max(1, sum(abs(x) for x in v))
+    mod = 1 << (bound.bit_length() + 1)
+    mask = mod - 1
+    # x A = v  <=>  A^t x = v: eliminate on the transpose, augmented with v
+    rows = [[matrix[j][i] & mask for j in range(d)] + [v[i] & mask] for i in range(d)]
+    det = 1
+    for k in range(d):
+        pivot_row = rows[k]
+        pivot = pivot_row[k]
+        if not pivot & 1:
+            raise ValueError("matrix must be congruent to the identity mod 2")
+        det = det * pivot & mask
+        inv = pow(pivot, -1, mod)
+        tail = pivot_row[k + 1 :]
+        for row in rows[k + 1 :]:
+            f = row[k] * inv & mask
+            if f:  # columns <= k are not read again
+                row[k + 1 :] = [(x - f * y) & mask for x, y in zip(row[k + 1 :], tail)]
+    x = [0] * d
+    for i in range(d - 1, -1, -1):
+        row = rows[i]
+        s = row[d] - sum(row[j] * x[j] for j in range(i + 1, d))
+        x[i] = s * pow(row[i], -1, mod) & mask
+    half = mod >> 1
+
+    def signed(y):
+        return y - mod if y >= half else y
+
+    return signed(det), [signed(xi * det & mask) for xi in x]
+
+
 def _miller_rabin(n: int, base: int) -> bool:
     if base % n == 0:
         return True

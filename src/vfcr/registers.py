@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import compress
 
 from . import gf2n
+from .exactmath import det_adj_left
 from .gf2n import BinaryPolynomial
 
 FIBONACCI = "fibonacci"
@@ -192,16 +194,19 @@ class RegisterSpec:
                 poly = BinaryPolynomial.parse(d["poly"])
             except KeyError as exc:
                 raise SpecError("vectorial spec needs a poly field") from exc
-            except gf2n.PolynomialError as exc:
+            except (gf2n.PolynomialError, AttributeError) as exc:
                 raise SpecError(f"bad modulus: {exc}") from exc
-        if "T" in d:
-            mat = tuple(
-                tuple(gf2n.elem_from_bits(e, poly) for e in row) for row in d["T"]
-            )
-            return cls(base=base, mode=mode, r=r, poly=poly, matrix=mat)
-        if "q" in d:
-            coeffs = tuple(gf2n.elem_from_bits(e, poly) for e in d["q"])
-            return cls(base=base, mode=mode, r=r, poly=poly, coeffs=coeffs)
+        try:
+            if "T" in d:
+                mat = tuple(
+                    tuple(gf2n.elem_from_bits(e, poly) for e in row) for row in d["T"]
+                )
+                return cls(base=base, mode=mode, r=r, poly=poly, matrix=mat)
+            if "q" in d:
+                coeffs = tuple(gf2n.elem_from_bits(e, poly) for e in d["q"])
+                return cls(base=base, mode=mode, r=r, poly=poly, coeffs=coeffs)
+        except TypeError as exc:
+            raise SpecError(f"malformed spec: {exc}") from exc
         raise SpecError("spec needs either 'q' or 'T'")
 
     def to_json(self) -> str:
@@ -316,21 +321,56 @@ def run(spec: RegisterSpec, init: RegisterState, steps: int):
     """Trajectory as row-major traces: bits[rn][steps+1], mems[...][steps+1].
 
     Column t is the state after t clocks; column 0 is the initial state.
+    All three modes step the expanded matrix B, keeping the nonzero entries of
+    each row; Fibonacci carries run in the ring layout and are projected back
+    onto the last cell.
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
     spec._check_state(init)
-    stepper = _stepper(spec)
-    bits = [[b] for b in init.a]
-    mems = [[x] for x in init.m]
-    s = init
+    taps = [[(j, x) for j, x in enumerate(row) if x] for row in spec.big_matrix()]
+    d = len(taps)
+    a, m = list(init.a), _ring_carries(spec, init.m)
+    a_flat, m_flat = a[:], m[:]  # states back to back: no list per step
     for _ in range(steps):
-        s = stepper(s)
-        for row, b in zip(bits, s.a):
-            row.append(b)
-        for row, x in zip(mems, s.m):
-            row.append(x)
-    return bits, mems
+        sigma = m[:]
+        for row in compress(taps, a):
+            for j, x in row:
+                sigma[j] += x
+        a = [s & 1 for s in sigma]
+        m = [s >> 1 for s in sigma]
+        a_flat += a
+        m_flat += m
+    bits = [a_flat[i::d] for i in range(d)]
+    del a_flat  # so that at most one flat trace is held next to the rows
+    return bits, [m_flat[i::d] for i in range(d - len(init.m), d)]
+
+
+def _ring_carries(spec: RegisterSpec, m) -> list:
+    """Carries in the ring layout: Fibonacci's carry vector fills the last cell."""
+    return [0] * (spec.r * spec.n - len(m)) + list(m)
+
+
+def output_rows(spec: RegisterSpec, init: RegisterState, count: int) -> list:
+    """The first count output bits of every coordinate, bit t of row i = a_i(t).
+
+    A clock maps a + 2m to a.B + m, so the output vector alpha, read as
+    2-adic integers, satisfies alpha (I - 2B) = a_0 + 2 m_0 (Klapper and
+    Goresky 1997; Arnault et al. 2009).  Coordinate i outputs p_i / q with
+    q = det(I - 2B) and p = (a_0 + 2 m_0) adj(I - 2B), so row i is
+    p_i q^-1 mod 2^count: one modular inverse and rn products, no stepping.
+    """
+    if count < 0:
+        raise ValueError("count must be >= 0")
+    spec._check_state(init)
+    big = spec.big_matrix()
+    d = len(big)
+    i_minus_2b = [[(i == j) - 2 * big[i][j] for j in range(d)] for i in range(d)]
+    v = [a + 2 * m for a, m in zip(init.a, _ring_carries(spec, init.m))]
+    q, p = det_adj_left(i_minus_2b, v)
+    mask = (1 << count) - 1
+    q_inv = pow(q, -1, mask + 1)
+    return [pi * q_inv & mask for pi in p]
 
 
 def _stepper(spec: RegisterSpec):

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 
 from . import gf2n, registers
@@ -171,19 +170,20 @@ def enumerate_family(family: str, r: int, poly=None, rho_budget: int = 10**6) ->
     """Enumerate every model of a family; report norms and verified max periods."""
     n = (poly or gf2n.quadratic()).n if family.startswith("v") else 1
     q_values = set()
-    candidates = {}  # q~ -> list of factories, only while a witness is pending
+    l_candidates = set()  # l-norms; each enters l_norms once a live model reaches it
     count = 0
-    l_norms = {}
+    l_norms = {}  # q~ -> witness spec, None while no live model has achieved q~ - 1
     for q_tilde, make in _models(family, r, poly):
         count += 1
         if q_tilde not in q_values:
             q_values.add(q_tilde)
             if _is_l_norm(q_tilde, rho_budget):
-                l_norms[q_tilde] = None
-        if q_tilde in l_norms and l_norms[q_tilde] is None:
+                l_candidates.add(q_tilde)
+        if q_tilde in l_candidates and l_norms.get(q_tilde) is None:
             spec = make()
-            if spec is not None and _witness_achieves(spec, q_tilde - 1):
-                l_norms[q_tilde] = spec
+            if spec is None:  # degenerate model (q_r = 0): no register
+                continue
+            l_norms[q_tilde] = spec if _witness_achieves(spec, q_tilde - 1) else None
     missing = [q for q, w in l_norms.items() if w is None]
     if missing:
         raise AssertionError(f"no simulated witness reached q-1 for norms {missing}")
@@ -300,6 +300,8 @@ def check_triplet(q_tilde: int, u: int, v: int, rho_budget: int = 10**6) -> Trip
 
 def basic_stats(bits) -> dict:
     """Descriptive statistics of a bit sequence (no pass/fail thresholds)."""
+    from fractions import Fraction  # only here: keeps fractions and decimal out of CLI start-up
+
     bits = list(bits)
     if not bits:
         raise ValueError("empty bit sequence")

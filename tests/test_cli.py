@@ -8,21 +8,24 @@ from golden_data import (
     Q61_MEMORY_ROWS,
     Q61_OUTPUT_ROWS,
 )
+from vfcr import registers
 from vfcr.cli import main
-from vfcr.registers import RegisterSpec, binary_spec
+from vfcr.registers import RegisterSpec, StepBudgetExceeded, binary_spec
+
+
+Q61_SPEC = {
+    "base": "vectorial",
+    "mode": "ring",
+    "r": 2,
+    "poly": "-1,-1,1",
+    "T": [["01", "01"], ["11", "00"]],
+}
 
 
 @pytest.fixture
 def q61_spec_file(tmp_path):
-    spec = {
-        "base": "vectorial",
-        "mode": "ring",
-        "r": 2,
-        "poly": "-1,-1,1",
-        "T": [["01", "01"], ["11", "00"]],
-    }
     path = tmp_path / "q61.json"
-    path.write_text(json.dumps(spec))
+    path.write_text(json.dumps(Q61_SPEC))
     return str(path)
 
 
@@ -166,3 +169,37 @@ def test_malformed_spec_file(tmp_path, capsys):
     assert main(["simulate", "--spec", str(path)]) == 2
     path.write_text('{"base": "vectorial", "mode": "ring", "r": 1}')
     assert main(["simulate", "--spec", str(path)]) == 2
+
+
+def test_reconstruct_over_cycle_budget_exits_3(q61_spec_file, monkeypatch, capsys):
+    def over_budget(*args, **kwargs):
+        raise StepBudgetExceeded("no cycle within 5 steps")
+
+    monkeypatch.setattr(registers, "detect_cycle", over_budget)
+    rc = main(["analyze", "--spec", q61_spec_file, "--init", q61_init(), "--reconstruct"])
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "spec_change, init",
+    [
+        ({}, '{"a": [1, 1, 1, 0]}'),  # no "m"
+        ({}, "[]"),
+        ({}, '{"a": 5, "m": [0, 0, 0, 1]}'),
+        ({"T": 5}, None),  # "T" not a list
+        ({"T": [5, 5]}, None),
+        ({"T": [[5, 5], [5, 5]]}, None),
+        ({"poly": 5}, None),
+    ],
+)
+def test_malformed_input_exits_2(tmp_path, capsys, spec_change, init):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({**Q61_SPEC, **spec_change}))
+    argv = ["simulate", "--spec", str(path)] + (["--init", init] if init else [])
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")

@@ -6,6 +6,7 @@ import pytest
 from golden_data import BIG_TRIPLET_Q
 from vfcr.exactmath import (
     FactorBudgetExceeded,
+    det_adj_left,
     det_exact,
     factorize,
     is_primitive_root_2,
@@ -130,3 +131,20 @@ def test_primitive_root_2():
     assert not is_primitive_root_2(7)
     with pytest.raises(ValueError):
         is_primitive_root_2(9)
+
+
+def test_det_adj_left_matches_cofactors():
+    rng = random.Random(11)
+    for _ in range(60):
+        d = rng.randint(1, 5)
+        a = [[(i == j) - 2 * rng.randint(-3, 3) for j in range(d)] for i in range(d)]
+        v = [rng.randint(-20, 20) for _ in range(d)]
+        det, p = det_adj_left(a, v)
+        assert det == cofactor_det(a)
+        # p = v adj(A), i.e. p A = det v
+        assert [sum(p[i] * a[i][j] for i in range(d)) for j in range(d)] == [det * x for x in v]
+
+
+def test_det_adj_left_needs_identity_mod_2():
+    with pytest.raises(ValueError):
+        det_adj_left([[2, 1], [1, 1]], [1, 0])

@@ -3,8 +3,9 @@ from fractions import Fraction
 import pytest
 
 from golden_data import FAMILY_EXPECTED, Q61_FIELD_MATRIX
+from vfcr.analysis import connection_norm
 from vfcr.exactmath import is_primitive_root_2, is_probable_prime
-from vfcr.gf2n import quadratic
+from vfcr.gf2n import BinaryPolynomial, quadratic
 from vfcr.registers import RegisterSpec
 from vfcr.search import (
     SearchBudgetExceeded,
@@ -140,3 +141,25 @@ def test_basic_stats():
     assert s["minimal_period"] == 4
     with pytest.raises(ValueError):
         basic_stats([])
+
+
+@pytest.mark.parametrize(
+    "family, r, poly, degenerate_only",
+    [
+        ("vfcsr-q-fib", 3, None, {5, 29}),
+        ("vfcsr-q-galois", 3, None, {5, 29}),
+        ("vfcsr-q-fib", 2, "1101", {3}),
+    ],
+)
+def test_enumerate_vfcsr_skips_norms_of_degenerate_models(family, r, poly, degenerate_only):
+    P = BinaryPolynomial.parse(poly) if poly else quadratic()
+    rep = enumerate_family(family, r, poly=P if poly else None)
+    assert rep.model_count == (1 << P.n) ** r
+    # norms that only q_r = 0 models reach stay listed, with no max period
+    assert degenerate_only <= set(rep.q_values)
+    assert not {q - 1 for q in degenerate_only} & set(rep.max_periods)
+    for q, spec in rep.witnesses.items():
+        assert any(spec.coeffs[-1])
+        assert connection_norm(spec) == q
+        assert rep.max_periods.count(q - 1) == 1
+    assert len(rep.witnesses) == len(rep.max_periods)
