@@ -41,9 +41,9 @@ from .registers import (
     StepBudgetExceeded,
     as_ring,
     binary_spec,
+    closed_form,
     detect_cycle,
     expand,
-    minimal_period,
     output_rows,
     run,
     step,
@@ -53,7 +53,6 @@ from .search import (
     SearchBudgetExceeded,
     TripletReport,
     adic_length,
-    basic_stats,
     check_triplet,
     enumerate_family,
     find_l_sequence_matrices,

@@ -1,8 +1,8 @@
 """2-adic analysis of carry registers.
 
-Connection integers, vectors and norms, connection matrices, closed-form
-numerators for the binary modes, rational reconstruction of output
-sequences, and carry-range bounds.
+Connection integers, vectors and norms, connection matrices, the per-cell
+rationals p_i/q with their exact preperiod and period (from the closed form
+in registers, without clocking the register), and carry-range bounds.
 """
 
 from __future__ import annotations
@@ -12,7 +12,15 @@ from dataclasses import dataclass
 
 from . import gf2n, registers
 from .exactmath import FactorBudgetExceeded, det_exact, multiplicative_order
-from .registers import FIBONACCI, GALOIS, RING, RegisterSpec, RegisterState
+from .registers import (
+    FIBONACCI,
+    GALOIS,
+    RING,
+    RegisterSpec,
+    RegisterState,
+    StepBudgetExceeded,
+    identity_minus_2t,
+)
 
 
 @dataclass(frozen=True)
@@ -82,13 +90,6 @@ def connection_matrix(spec: RegisterSpec):
     raise ValueError("ring specs: use identity_minus_2t / ring_connection_norm")
 
 
-def identity_minus_2t(big):
-    d = len(big)
-    return tuple(
-        tuple((1 if i == j else 0) - 2 * big[i][j] for j in range(d)) for i in range(d)
-    )
-
-
 def ring_connection_norm(big):
     """(signed det(I - 2 big), its absolute value q~)."""
     det = det_exact(identity_minus_2t(big))
@@ -98,28 +99,26 @@ def ring_connection_norm(big):
 def closed_form_numerator(spec: RegisterSpec, init: RegisterState) -> Rational2Adic:
     """Closed-form numerator of the output 2-adic value for binary modes.
 
-    Returns the unreduced p over q = connection integer; the output sequence
-    (cell 0 over time) is the 2-adic expansion of p/q.
+    Returns the unreduced p over q = |connection integer|; the output
+    sequence (cell 0 over time) is the 2-adic expansion of p/q.
     """
     if spec.n != 1 or spec.mode == RING:
         raise ValueError("closed-form numerator covers binary Fibonacci/Galois only")
-    spec._check_state(init)
-    r = spec.r
-    a = init.a
-    taps = [c[0] for c in spec.coeffs]  # q_1 .. q_r
-    if spec.mode == FIBONACCI:
-        minus_p = sum(a[i] << i for i in range(r)) + (init.m[0] << r)
-        for i in range(1, r):
-            inner = sum(taps[j - 1] * a[i - j] for j in range(1, i + 1))
-            minus_p -= inner << i
-    else:
-        minus_p = sum(a[i] << i for i in range(r))
-        minus_p += sum(init.m[i - 1] << i for i in range(1, r + 1))
-    q = connection_integer(spec)[0]
-    p = -minus_p
-    if q < 0:
-        p, q = -p, -q
-    return Rational2Adic(p, q, reduced=False)
+    q, p = registers.closed_form(spec, init)
+    return Rational2Adic(p[0], q)
+
+
+def _preperiod(p: int, q: int) -> int:
+    """Steps until the expansion of p/q (q odd, positive) is purely periodic.
+
+    The expansion of p/q is purely periodic exactly when -q <= p <= 0; one
+    step drops the low bit b = p mod 2, leaving (p - b q) / 2 over q.
+    """
+    steps = 0
+    while not -q <= p <= 0:
+        p = (p - (p & 1) * q) >> 1
+        steps += 1
+    return steps
 
 
 def expand_2adic(p: int, q: int, count: int):
@@ -234,7 +233,12 @@ def analyze(
     rho_budget: int = 10**6,
     cycle_budget: int = 10**6,
 ) -> AnalysisReport:
-    """Full analysis: norms, determinant, period bound, weights, rationals."""
+    """Full analysis: norms, determinant, period bound, weights, rationals.
+
+    With reconstruct, the rationals, preperiod and period come from the
+    closed form of init; StepBudgetExceeded when preperiod + period exceeds
+    cycle_budget.
+    """
     big = spec.big_matrix()
     det, q_tilde = ring_connection_norm(big)
     report = AnalysisReport(
@@ -264,8 +268,14 @@ def analyze(
     if reconstruct:
         if init is None:
             raise ValueError("reconstruction needs an initial state")
-        s, t = registers.detect_cycle(spec, init, max_steps=cycle_budget)
-        bits, _ = registers.run(spec, init, s + t)
-        report.preperiod, report.period = s, t
-        report.rationals = [sequence_to_rational(row, s, t) for row in bits]
+        q, p = registers.closed_form(spec, init)
+        report.rationals = [Rational2Adic(x, q).reduce() for x in p]
+        report.preperiod = max(_preperiod(x, q) for x in p)
+        den = math.lcm(*(x.q for x in report.rationals))
+        report.period = multiplicative_order(2, den, rho_budget) if den > 1 else 1
+        if report.preperiod + report.period > cycle_budget:
+            raise StepBudgetExceeded(
+                f"preperiod {report.preperiod} + period {report.period}"
+                f" exceeds the {cycle_budget}-step budget"
+            )
     return report

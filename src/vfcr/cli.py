@@ -11,6 +11,7 @@ import json
 import sys
 
 from . import analysis, gf2n, registers, search
+from .exactmath import FactorBudgetExceeded
 from .registers import RegisterSpec, RegisterState, SpecError, StepBudgetExceeded
 from .search import SearchBudgetExceeded
 
@@ -214,7 +215,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (SearchBudgetExceeded, StepBudgetExceeded) as exc:
+    except (SearchBudgetExceeded, StepBudgetExceeded, FactorBudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except (SpecError, gf2n.PolynomialError, ValueError, OSError, json.JSONDecodeError) as exc:

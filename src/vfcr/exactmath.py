@@ -192,7 +192,7 @@ def factorize(n: int, rho_budget: int = DEFAULT_RHO_BUDGET) -> dict:
     small, n = trial_division_factor(n)
     for p in small:
         out[p] = out.get(p, 0) + 1
-    rng = random.Random(0xC0FFEE ^ (n % (2**64)))
+    rng = None  # seeded on first use: most calls need no rho
     stack = [n] if n > 1 else []
     budget = rho_budget
     while stack:
@@ -202,6 +202,7 @@ def factorize(n: int, rho_budget: int = DEFAULT_RHO_BUDGET) -> dict:
         if is_probable_prime(m):
             out[m] = out.get(m, 0) + 1
             continue
+        rng = rng or random.Random(0xC0FFEE ^ (n % (2**64)))
         f = _pollard_rho(m, budget, rng)
         if f is None:
             raise FactorBudgetExceeded(f"factorization budget exceeded on {m}")
@@ -211,7 +212,13 @@ def factorize(n: int, rho_budget: int = DEFAULT_RHO_BUDGET) -> dict:
 
 
 def multiplicative_order(base: int, q: int, rho_budget: int = DEFAULT_RHO_BUDGET) -> int:
-    """Least t > 0 with base^t = 1 mod q, for odd q > 1 coprime to base."""
+    """Least t > 0 with base^t = 1 mod q, for odd q > 1 coprime to base.
+
+    The order divides Carmichael's lambda(q), the lcm of p^(e-1) (p - 1) over
+    the prime powers p^e of q: start from lambda(q) and strip its prime
+    factors while base^(t/p) = 1 (Cohen, A Course in Computational Algebraic
+    Number Theory, 1.4).  Every factorization runs within rho_budget.
+    """
     if q <= 1 or q % 2 == 0:
         raise ValueError("modulus must be odd and > 1")
     base %= q
@@ -219,26 +226,17 @@ def multiplicative_order(base: int, q: int, rho_budget: int = DEFAULT_RHO_BUDGET
         raise ValueError("base must be coprime to the modulus")
     if base == 1:
         return 1
-    if is_probable_prime(q):
-        # order divides q-1: strip prime factors of the exponent
-        t = q - 1
-        for p, e in factorize(q - 1, rho_budget).items():
-            for _ in range(e):
-                if pow(base, t // p, q) == 1:
-                    t //= p
-                else:
-                    break
-        return t
-    if q < 2**32:
-        t = 1
-        x = base
-        while x != 1:
-            x = x * base % q
-            t += 1
-        return t
-    raise FactorBudgetExceeded(
-        "order modulo a large composite requires factoring the modulus"
-    )
+    lam = {}  # prime -> exponent in lambda(q)
+    for p, e in ({q: 1} if is_probable_prime(q) else factorize(q, rho_budget)).items():
+        for f, k in factorize(p - 1, rho_budget).items():
+            lam[f] = max(lam.get(f, 0), k)
+        if e > 1:
+            lam[p] = max(lam.get(p, 0), e - 1)
+    t = math.prod(f**k for f, k in lam.items())
+    for f in lam:
+        while t % f == 0 and pow(base, t // f, q) == 1:
+            t //= f
+    return t
 
 
 def is_primitive_root_2(q: int, rho_budget: int = DEFAULT_RHO_BUDGET) -> bool:

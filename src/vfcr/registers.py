@@ -28,7 +28,7 @@ class SpecError(ValueError):
 
 
 class StepBudgetExceeded(RuntimeError):
-    """Cycle detection ran out of steps (possible with negative carries)."""
+    """A trajectory's preperiod + period exceeds the step budget."""
 
 
 def _floordiv2(x: int) -> int:
@@ -351,23 +351,40 @@ def _ring_carries(spec: RegisterSpec, m) -> list:
     return [0] * (spec.r * spec.n - len(m)) + list(m)
 
 
-def output_rows(spec: RegisterSpec, init: RegisterState, count: int) -> list:
-    """The first count output bits of every coordinate, bit t of row i = a_i(t).
+def identity_minus_2t(big):
+    """I - 2B, the matrix of the linear system that the 2-adic outputs satisfy."""
+    rows = [[-2 * x for x in row] for row in big]
+    for i, row in enumerate(rows):
+        row[i] += 1
+    return tuple(map(tuple, rows))
+
+
+def closed_form(spec: RegisterSpec, init: RegisterState) -> tuple:
+    """(q, p): coordinate i outputs the 2-adic rational p_i / q, with q > 0.
 
     A clock maps a + 2m to a.B + m, so the output vector alpha, read as
     2-adic integers, satisfies alpha (I - 2B) = a_0 + 2 m_0 (Klapper and
-    Goresky 1997; Arnault et al. 2009).  Coordinate i outputs p_i / q with
-    q = det(I - 2B) and p = (a_0 + 2 m_0) adj(I - 2B), so row i is
-    p_i q^-1 mod 2^count: one modular inverse and rn products, no stepping.
+    Goresky 1997; Arnault et al. 2009).  Hence alpha = p / det(I - 2B) with
+    p = (a_0 + 2 m_0) adj(I - 2B), from one elimination and no stepping;
+    both are negated when the determinant is negative.
+    """
+    spec._check_state(init)
+    v = [a + 2 * m for a, m in zip(init.a, _ring_carries(spec, init.m))]
+    q, p = det_adj_left(identity_minus_2t(spec.big_matrix()), v)
+    if q < 0:
+        return -q, [-x for x in p]
+    return q, p
+
+
+def output_rows(spec: RegisterSpec, init: RegisterState, count: int) -> list:
+    """The first count output bits of every coordinate, bit t of row i = a_i(t).
+
+    Row i is p_i q^-1 mod 2^count (see closed_form): one modular inverse and
+    rn products.
     """
     if count < 0:
         raise ValueError("count must be >= 0")
-    spec._check_state(init)
-    big = spec.big_matrix()
-    d = len(big)
-    i_minus_2b = [[(i == j) - 2 * big[i][j] for j in range(d)] for i in range(d)]
-    v = [a + 2 * m for a, m in zip(init.a, _ring_carries(spec, init.m))]
-    q, p = det_adj_left(i_minus_2b, v)
+    q, p = closed_form(spec, init)
     mask = (1 << count) - 1
     q_inv = pow(q, -1, mask + 1)
     return [pi * q_inv & mask for pi in p]
@@ -416,26 +433,6 @@ def detect_cycle(spec: RegisterSpec, init: RegisterState, max_steps: int = 10**6
         if mu > max_steps:
             raise StepBudgetExceeded(f"no cycle within {max_steps} steps")
     return mu, lam
-
-
-def minimal_period(seq, preperiod: int, period: int) -> int:
-    """Least divisor of period that the tail of seq actually repeats with."""
-    tail = seq[preperiod : preperiod + period]
-    for d in sorted(_divisors(period)):
-        if all(tail[i] == tail[i % d] for i in range(period)):
-            return d
-    return period
-
-
-def _divisors(t: int):
-    out = set()
-    d = 1
-    while d * d <= t:
-        if t % d == 0:
-            out.add(d)
-            out.add(t // d)
-        d += 1
-    return out
 
 
 def as_ring(spec: RegisterSpec):

@@ -3,25 +3,27 @@
 A register reaches the maximal period q~ - 1 (an l-sequence) exactly when
 its connection norm q~ is prime and 2 is a primitive root modulo q~.  The
 family enumerators report the achieved connection norms and verify every
-claimed maximal period by actually simulating a witness.
+claimed maximal period on a witness register, exactly and without stepping:
+a cell outputs p_i/q with q = det(I - 2B), and has period q~ - 1 exactly
+when p_i is nonzero modulo q~.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import partial
 from itertools import product
 
 from . import gf2n, registers
-from .analysis import identity_minus_2t, ring_connection_norm
+from .analysis import ring_connection_norm
 from .exactmath import (
     FactorBudgetExceeded,
     det_exact,
     is_probable_prime,
     is_primitive_root_2,
-    multiplicative_order,
 )
-from .registers import GALOIS, RING, RegisterSpec
+from .registers import GALOIS, RING, RegisterSpec, identity_minus_2t
 
 FAMILIES = ("binary-fcr", "vfcsr-q-fib", "vfcsr-q-galois", "vfcr-q")
 
@@ -100,21 +102,20 @@ def _is_l_norm(q: int, rho_budget: int) -> bool:
     return q > 2 and is_probable_prime(q) and is_primitive_root_2(q, rho_budget)
 
 
-def _cell_periods(spec: RegisterSpec, init, cycle_budget=10**5):
-    s, t = registers.detect_cycle(spec, init, max_steps=cycle_budget)
-    bits, _ = registers.run(spec, init, s + 2 * t)
-    return [registers.minimal_period(row, s, t) for row in bits]
-
-
 def _witness_achieves(spec: RegisterSpec, target: int) -> bool:
-    """Search small initial states for a cell sequence of the target period."""
+    """True iff an initial state with zero carries has a cell of period target.
+
+    For target = q~ - 1 with q~ an l-norm, cell i outputs p_i / q~ with
+    p = +-a_0 adj(I - 2B) (registers.closed_form); its period is q~ - 1
+    unless p_i = 0 mod q~, and then 1.  As p is linear in a_0, some bit state
+    is a witness iff some unit vector e_k is.
+    """
+    q_tilde = target + 1
     rn = spec.r * spec.n
-    mlen = spec.n if spec.mode == registers.FIBONACCI else rn
-    for a in product((0, 1), repeat=rn):
-        if not any(a):
-            continue
-        init = spec.state(a, (0,) * mlen)
-        if max(_cell_periods(spec, init)) == target:
+    m = spec.zero_state().m
+    for k in range(rn):
+        _, p = registers.closed_form(spec, spec.state([int(i == k) for i in range(rn)], m))
+        if any(x % q_tilde for x in p):
             return True
     return False
 
@@ -122,17 +123,9 @@ def _witness_achieves(spec: RegisterSpec, target: int) -> bool:
 def _models(family: str, r: int, poly):
     """Yield (q_tilde, spec_factory) over every model of the family."""
     if family == "binary-fcr":
-        P = gf2n.binary_modulus()
         for code in range(1 << (r * r)):
-            mat = tuple(
-                tuple(((code >> (i * r + j)) & 1,) for j in range(r)) for i in range(r)
-            )
-            det = det_exact(
-                [[(1 if i == j else 0) - 2 * mat[i][j][0] for j in range(r)] for i in range(r)]
-            )
-            yield abs(det), lambda mat=mat: RegisterSpec(
-                base="binary", mode=RING, r=r, poly=P, matrix=mat
-            )
+            bits = [[(code >> (i * r + j)) & 1 for j in range(r)] for i in range(r)]
+            yield abs(det_exact(identity_minus_2t(bits))), partial(registers.binary_spec, RING, bits)
     elif family in ("vfcsr-q-fib", "vfcsr-q-galois"):
         P = poly or gf2n.quadratic()
         mode = registers.FIBONACCI if family.endswith("fib") else GALOIS
@@ -296,29 +289,3 @@ def check_triplet(q_tilde: int, u: int, v: int, rho_budget: int = 10**6) -> Trip
         l_q=adic_length(q_tilde),
         l_uv=max(adic_length(u), adic_length(v)),
     )
-
-
-def basic_stats(bits) -> dict:
-    """Descriptive statistics of a bit sequence (no pass/fail thresholds)."""
-    from fractions import Fraction  # only here: keeps fractions and decimal out of CLI start-up
-
-    bits = list(bits)
-    if not bits:
-        raise ValueError("empty bit sequence")
-    ones = sum(bits)
-    longest = cur = 1
-    for prev, nxt in zip(bits, bits[1:]):
-        cur = cur + 1 if prev == nxt else 1
-        longest = max(longest, cur)
-    period = len(bits)
-    for p in range(1, len(bits) + 1):
-        if all(bits[i] == bits[i % p] for i in range(len(bits))):
-            period = p
-            break
-    return {
-        "length": len(bits),
-        "ones": ones,
-        "balance": Fraction(ones, len(bits)),
-        "longest_run": longest,
-        "minimal_period": period,
-    }

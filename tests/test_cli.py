@@ -8,9 +8,8 @@ from golden_data import (
     Q61_MEMORY_ROWS,
     Q61_OUTPUT_ROWS,
 )
-from vfcr import registers
 from vfcr.cli import main
-from vfcr.registers import RegisterSpec, StepBudgetExceeded, binary_spec
+from vfcr.registers import RegisterSpec, binary_spec
 
 
 Q61_SPEC = {
@@ -171,16 +170,27 @@ def test_malformed_spec_file(tmp_path, capsys):
     assert main(["simulate", "--spec", str(path)]) == 2
 
 
-def test_reconstruct_over_cycle_budget_exits_3(q61_spec_file, monkeypatch, capsys):
-    def over_budget(*args, **kwargs):
-        raise StepBudgetExceeded("no cycle within 5 steps")
-
-    monkeypatch.setattr(registers, "detect_cycle", over_budget)
-    rc = main(["analyze", "--spec", q61_spec_file, "--init", q61_init(), "--reconstruct"])
+def test_reconstruct_over_cycle_budget_exits_3(tmp_path, capsys):
+    # one cell over X^2 - X + 250001: det(I - 2T) = 1000003, a prime with 2
+    # as primitive root, so preperiod + period = 1000002 > 10^6 steps
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(
+        {"base": "vectorial", "mode": "ring", "r": 1, "poly": "250001,-1,1", "T": [["01"]]}
+    ))
+    init = json.dumps({"a": [1, 0], "m": [0, 0]})
+    rc = main(["analyze", "--spec", str(path), "--init", init, "--reconstruct"])
     assert rc == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+def test_factorization_budget_exits_3(capsys):
+    rc = main(["search", "--r", "12", "--budget", "1", "--poly=1101"])
+    assert rc == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: factorization budget exceeded")
 
 
 @pytest.mark.parametrize(

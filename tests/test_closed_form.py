@@ -1,22 +1,40 @@
-"""The closed-form output rows and the single ring stepper against step().
+"""The 2-adic closed form and the single ring stepper against the slow paths.
 
 `step` (with its per-mode steppers) is the reference: `output_rows`, `run`
 and the `simulate` command must reproduce a plain loop over it, bit for bit
-and byte for byte.
+and byte for byte.  Brent's cycle walk (`detect_cycle`) is the reference for
+`analyze --reconstruct` and for the family witness check, and powering is
+the reference for `multiplicative_order`.
 """
 
 import contextlib
 import io
 import json
+import math
 import os
 import tempfile
+from itertools import product
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from vfcr import gf2n
+from vfcr.analysis import analyze, sequence_to_rational
 from vfcr.cli import main
-from vfcr.registers import FIBONACCI, MODES, RING, RegisterSpec, output_rows, run, step
+from vfcr.exactmath import det_exact, is_primitive_root_2, is_probable_prime, multiplicative_order
+from vfcr.registers import (
+    FIBONACCI,
+    MODES,
+    RING,
+    RegisterSpec,
+    StepBudgetExceeded,
+    detect_cycle,
+    identity_minus_2t,
+    output_rows,
+    run,
+    step,
+)
+from vfcr.search import _witness_achieves
 
 # None is the binary modulus; the rest are lifts of degree 2 and 3
 LIFTS = (None, "111", "-1,-1,1", "1101", "-1,1,0,1")
@@ -126,3 +144,74 @@ def test_simulate_bytes_rejects_wide_cells():
     spec = RegisterSpec(base="vectorial", mode=RING, r=1, poly=P, matrix=(((1,) + (0,) * 8,),))
     for steps in (0, 16):
         assert simulate_stdout(spec, spec.zero_state(), steps, "bytes") == (2, b"")
+
+
+# Brent's walk on the per-mode steppers costs about 20 us a step; a few
+# registers of the strategy need more steps than this and are skipped
+CYCLE_WALK_BUDGET = 5000
+
+
+@settings(max_examples=200, deadline=None)
+@given(registers())
+def test_analyze_reconstruct_matches_cycle_walk(reg):
+    spec, init = reg
+    try:
+        s, t = detect_cycle(spec, init, max_steps=CYCLE_WALK_BUDGET)
+    except StepBudgetExceeded:
+        assume(False)
+    # Brent walks at least preperiod + period steps, so the same budget holds
+    report = analyze(spec, init, reconstruct=True, cycle_budget=CYCLE_WALK_BUDGET)
+    assert (report.preperiod, report.period) == (s, t)
+    bits, _ = run(spec, init, s + t)
+    assert report.rationals == [sequence_to_rational(row, s, t) for row in bits]
+
+
+def minimal_period(seq, preperiod, period):
+    """Least divisor of period that the tail of seq repeats with."""
+    tail = seq[preperiod : preperiod + period]
+    return next(d for d in range(1, period + 1)
+                if period % d == 0 and all(tail[i] == tail[i % d] for i in range(period)))
+
+
+def brute_force_witness(spec, target):
+    """Some nonzero bit state with zero carries has a cell of period target."""
+    m = spec.zero_state().m
+    for a in product((0, 1), repeat=spec.r * spec.n):
+        if any(a):
+            init = spec.state(a, m)
+            s, t = detect_cycle(spec, init)
+            bits, _ = run(spec, init, s + t)
+            if max(minimal_period(row, s, t) for row in bits) == target:
+                return True
+    return False
+
+
+@settings(max_examples=60, deadline=None)
+@given(registers())
+def test_witness_check_matches_brute_force(reg):
+    spec, _ = reg
+    assume(spec.r * spec.n <= 6)
+    q_tilde = abs(det_exact(identity_minus_2t(spec.big_matrix())))
+    assume(2 < q_tilde < 2000 and is_probable_prime(q_tilde) and is_primitive_root_2(q_tilde))
+    assert _witness_achieves(spec, q_tilde - 1) == brute_force_witness(spec, q_tilde - 1)
+
+
+def powering_order(base, q):
+    t, x = 1, base % q
+    while x != 1:
+        x = x * base % q
+        t += 1
+    return t
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 2**11 - 1), st.sampled_from((2, 3, 5, 6, 10)))
+def test_multiplicative_order_matches_powering(k, base):
+    q = 2 * k + 1
+    assume(math.gcd(base, q) == 1)
+    assert multiplicative_order(base, q) == powering_order(base, q)
+
+
+def test_multiplicative_order_of_large_composite():
+    # the orders of 2 modulo the two Mersenne primes are 61 and 31
+    assert multiplicative_order(2, (2**61 - 1) * (2**31 - 1)) == 1891

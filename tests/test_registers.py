@@ -10,6 +10,7 @@ from golden_data import (
     Q61_INIT_M,
 )
 from vfcr import gf2n
+from vfcr.analysis import analyze
 from vfcr.gf2n import quadratic
 from vfcr.registers import (
     RegisterSpec,
@@ -20,7 +21,6 @@ from vfcr.registers import (
     binary_spec,
     detect_cycle,
     expand,
-    minimal_period,
     run,
     step,
     step_vfcr,
@@ -162,8 +162,9 @@ def test_detect_cycle_reference_period_60():
     spec = q61_spec()
     s, t = detect_cycle(spec, spec.state(Q61_INIT_A, Q61_INIT_M))
     assert t == 60
-    bits, _ = run(spec, spec.state(Q61_INIT_A, Q61_INIT_M), s + 2 * t)
-    assert all(minimal_period(row, s, t) == 60 for row in bits)
+    report = analyze(spec, spec.state(Q61_INIT_A, Q61_INIT_M), reconstruct=True)
+    assert report.period == 60
+    assert all(x.q == 61 for x in report.rationals)
 
 
 def test_detect_cycle_alternating_sequence():

@@ -1,5 +1,3 @@
-from fractions import Fraction
-
 import pytest
 
 from golden_data import FAMILY_EXPECTED, Q61_FIELD_MATRIX
@@ -10,7 +8,6 @@ from vfcr.registers import RegisterSpec
 from vfcr.search import (
     SearchBudgetExceeded,
     adic_length,
-    basic_stats,
     check_triplet,
     enumerate_family,
     find_l_sequence_matrices,
@@ -129,18 +126,6 @@ def test_find_matrices_budget_exhausted():
 def test_find_matrices_rejects_bad_count():
     with pytest.raises(ValueError):
         find_l_sequence_matrices(2, count=0)
-
-
-def test_basic_stats():
-    s = basic_stats([1, 0, 1, 0, 1, 0])
-    assert s["balance"] == Fraction(1, 2)
-    assert s["longest_run"] == 1
-    assert s["minimal_period"] == 2
-    s = basic_stats([1, 1, 1, 0])
-    assert s["longest_run"] == 3
-    assert s["minimal_period"] == 4
-    with pytest.raises(ValueError):
-        basic_stats([])
 
 
 @pytest.mark.parametrize(
