@@ -81,12 +81,7 @@ def connection_matrix(spec: RegisterSpec):
         q = connection_integer(spec)
         return gf2n.mult_matrix(tuple(-c for c in q), spec.poly)
     if spec.mode == GALOIS:
-        big = spec.big_matrix()
-        d = len(big)
-        return tuple(
-            tuple((1 if i == j else 0) - 2 * big[j][i] for j in range(d))
-            for i in range(d)
-        )
+        return tuple(zip(*identity_minus_2t(spec.big_matrix())))
     raise ValueError("ring specs: use identity_minus_2t / ring_connection_norm")
 
 

@@ -221,6 +221,9 @@ def main(argv=None) -> int:
     except (SpecError, gf2n.PolynomialError, ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except AssertionError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
 
 
 if __name__ == "__main__":

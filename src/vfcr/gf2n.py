@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .exactmath import det_exact, trial_division_factor
+from .exactmath import FactorBudgetExceeded, det_exact, factorize
 
 
 class PolynomialError(ValueError):
@@ -78,7 +78,7 @@ def _is_irreducible(m: int) -> bool:
         t = _gf2_mulmod(t, t, m)
     if t != x:
         return False
-    for d in _prime_divisors(n):
+    for d in factorize(n):
         t = x
         for _ in range(n // d):
             t = _gf2_mulmod(t, t, m)
@@ -87,29 +87,15 @@ def _is_irreducible(m: int) -> bool:
     return True
 
 
-def _prime_divisors(n: int):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 class BinaryPolynomial:
     """Monic modulus with signed integer coefficients, irreducible mod 2.
 
     ``coeffs`` is the lift in Z[X] (constant term first, length n+1).
-    Reduction mod 2 must be irreducible with nonzero constant term;
-    primitivity is verified exactly for n <= 20 and left unverified above.
+    Reduction mod 2 must be irreducible with nonzero constant term.
+    ``primitive`` is computed on access from the factorization of 2^n - 1.
     """
 
-    __slots__ = ("coeffs", "n", "primitive", "_f2", "_xpow")
+    __slots__ = ("coeffs", "n", "_f2")
 
     def __init__(self, coeffs):
         coeffs = tuple(int(c) for c in coeffs)
@@ -124,8 +110,6 @@ class BinaryPolynomial:
         self._f2 = _int_poly(coeffs)
         if not _is_irreducible(self._f2):
             raise PolynomialError("modulus is reducible over F2")
-        self.primitive = self._check_primitive()
-        self._xpow = self._power_table()
 
     @classmethod
     def from_bits(cls, bits: str) -> "BinaryPolynomial":
@@ -150,36 +134,18 @@ class BinaryPolynomial:
         """Signed coefficients as comma-separated text (round-trips parse)."""
         return ",".join(str(c) for c in self.coeffs)
 
-    def _check_primitive(self):
-        # Xbar generates the multiplicative group iff its order is 2^n - 1.
-        if self.n > 20:
-            return None  # unverified; analysis only needs irreducibility
-        order = (1 << self.n) - 1
-        if order == 1:
-            return True
-        small, rest = trial_division_factor(order)
-        primes = set(small)
-        if rest > 1:
-            primes.add(rest)
-        for p in primes:
-            if _gf2_powmod(0b10, order // p, self._f2) == 1:
-                return False
-        return True
+    @property
+    def primitive(self):
+        """True iff Xbar generates F2[X]/(P)*, i.e. has order 2^n - 1.
 
-    def _power_table(self):
-        """Coordinates of Xbar^k in Z[X]/(P) for k = 0 .. 2n-2."""
-        n = self.n
-        rows = []
-        cur = [0] * n
-        cur[0] = 1
-        for _ in range(2 * n - 1):
-            rows.append(tuple(cur))
-            nxt = [0] * (n + 1)
-            for i, c in enumerate(cur):
-                nxt[i + 1] = c
-            top = nxt[n]
-            cur = [nxt[i] - top * self.coeffs[i] for i in range(n)]
-        return tuple(rows)
+        None when 2^n - 1 cannot be factored within the default rho budget.
+        """
+        order = (1 << self.n) - 1
+        try:
+            primes = factorize(order)
+        except FactorBudgetExceeded:
+            return None
+        return all(_gf2_powmod(0b10, order // p, self._f2) != 1 for p in primes)
 
     def __eq__(self, other):
         return isinstance(other, BinaryPolynomial) and self.coeffs == other.coeffs
@@ -219,22 +185,10 @@ def _check_len(v, P: BinaryPolynomial):
 
 
 def mul_lifted(a, b, P: BinaryPolynomial) -> tuple:
-    """Product of two integer vectors in Z[X]/(P), coordinates in the power basis."""
+    """Product of two integer vectors in Z[X]/(P): a times the matrix of b."""
     _check_len(a, P)
-    _check_len(b, P)
-    n = P.n
-    out = [0] * n
-    for i, ai in enumerate(a):
-        if not ai:
-            continue
-        for j, bj in enumerate(b):
-            if not bj:
-                continue
-            row = P._xpow[i + j]
-            c = ai * bj
-            for k in range(n):
-                out[k] += c * row[k]
-    return tuple(out)
+    rows = mult_matrix(b, P)
+    return tuple(sum(ai * row[k] for ai, row in zip(a, rows)) for k in range(P.n))
 
 
 def gf_mul(a, b, P: BinaryPolynomial) -> tuple:
@@ -243,14 +197,19 @@ def gf_mul(a, b, P: BinaryPolynomial) -> tuple:
 
 
 def mult_matrix(q, P: BinaryPolynomial):
-    """Matrix of v -> v*q on Z[X]/(P), row-vector convention (image is v.M)."""
+    """Matrix of v -> v*q on Z[X]/(P), row-vector convention (image is v.M).
+
+    Row i is Xbar^i q: row 0 is q, and row i+1 is row i times Xbar, whose
+    top coordinate folds back through X^n = -(c_0 + ... + c_{n-1} X^(n-1)),
+    the signed lift of P.
+    """
     _check_len(q, P)
-    n = P.n
-    rows = []
-    for i in range(n):
-        e = [0] * n
-        e[i] = 1
-        rows.append(mul_lifted(tuple(e), q, P))
+    row = tuple(q)
+    rows = [row]
+    for _ in range(P.n - 1):
+        top = row[-1]
+        row = tuple(x - top * c for x, c in zip((0,) + row[:-1], P.coeffs))
+        rows.append(row)
     return tuple(rows)
 
 

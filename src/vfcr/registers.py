@@ -113,10 +113,7 @@ class RegisterSpec:
     @property
     def is_ring_shaped(self) -> bool:
         """True when the transition matrix has ones on the subdiagonal."""
-        if self.mode != RING:
-            return True
-        one = (1,) + (0,) * (self.n - 1)
-        return all(self.matrix[i + 1][i] == one for i in range(self.r - 1))
+        return self.mode != RING or has_subdiagonal_ones(self.matrix, self.n)
 
     def field_matrix(self):
         """The r x r transition matrix over the field (F/G for Fibonacci/Galois)."""
@@ -225,6 +222,12 @@ def _is_canonical_lift(poly: BinaryPolynomial) -> bool:
     return all(c in (0, 1) for c in poly.coeffs)
 
 
+def has_subdiagonal_ones(field_matrix, n: int) -> bool:
+    """True when every subdiagonal entry of the field matrix is 1."""
+    one = (1,) + (0,) * (n - 1)
+    return all(field_matrix[i + 1][i] == one for i in range(len(field_matrix) - 1))
+
+
 def binary_spec(mode: str, taps) -> RegisterSpec:
     """Binary FCSR/FCR shorthand: taps are bits q_1..q_r or a 0/1 matrix."""
     P = gf2n.binary_modulus()
@@ -236,16 +239,23 @@ def binary_spec(mode: str, taps) -> RegisterSpec:
 
 
 def expand(field_matrix, P: BinaryPolynomial):
-    """Block expansion T -> big rn x rn integer matrix of multiplication blocks."""
+    """Block expansion T -> big rn x rn integer matrix of multiplication blocks.
+
+    Each distinct entry's block is built once: there are at most 2^n of them.
+    """
     r = len(field_matrix)
     n = P.n
     big = [[0] * (r * n) for _ in range(r * n)]
+    blocks = {}
     for i in range(r):
         row = field_matrix[i]
         if len(row) != r:
             raise ValueError("field matrix must be square")
         for j in range(r):
-            block = gf2n.mult_matrix(row[j], P)
+            e = tuple(row[j])
+            block = blocks.get(e)
+            if block is None:
+                block = blocks[e] = gf2n.mult_matrix(e, P)
             for bi in range(n):
                 big[i * n + bi][j * n : j * n + n] = block[bi]
     return tuple(tuple(x) for x in big)

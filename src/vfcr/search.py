@@ -179,7 +179,7 @@ def enumerate_family(family: str, r: int, poly=None, rho_budget: int = 10**6) ->
             l_norms[q_tilde] = spec if _witness_achieves(spec, q_tilde - 1) else None
     missing = [q for q, w in l_norms.items() if w is None]
     if missing:
-        raise AssertionError(f"no simulated witness reached q-1 for norms {missing}")
+        raise AssertionError(f"no witness of period q~ - 1 (p_i != 0 mod q~) for norms {missing}")
     return FamilyReport(
         family=family,
         r=r,
@@ -221,14 +221,6 @@ def find_l_sequence_matrices(
             flat.append(elems[(code >> (k * n)) & ((1 << n) - 1)])
         return tuple(tuple(flat[i * r + j] for j in range(r)) for i in range(r))
 
-    def admissible(mat):
-        if not ring_only:
-            return True
-        one = (1,) + (0,) * (n - 1)
-        if r == 1:
-            return any(mat[0][0])
-        return all(mat[i + 1][i] == one for i in range(r - 1))
-
     if space <= 1 << 16:
         codes = list(range(space))
         rng.shuffle(codes)
@@ -242,7 +234,7 @@ def find_l_sequence_matrices(
             continue
         seen.add(code)
         mat = decode(code)
-        if not admissible(mat):
+        if ring_only and not registers.has_subdiagonal_ones(mat, n):
             continue
         big = registers.expand(mat, P)
         _, q_tilde = ring_connection_norm(big)

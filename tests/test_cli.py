@@ -8,6 +8,7 @@ from golden_data import (
     Q61_MEMORY_ROWS,
     Q61_OUTPUT_ROWS,
 )
+from vfcr import analysis, search
 from vfcr.cli import main
 from vfcr.registers import RegisterSpec, binary_spec
 
@@ -191,6 +192,24 @@ def test_factorization_budget_exits_3(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: factorization budget exceeded")
+
+
+def test_norm_determinant_mismatch_exits_1(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(analysis, "connection_norm", lambda spec: 0)
+    path = tmp_path / "g.json"
+    path.write_text(binary_spec("galois", [1, 0, 1]).to_json())
+    assert main(["analyze", "--spec", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: norm/determinant mismatch")
+
+
+def test_missing_witness_exits_1(capsys, monkeypatch):
+    monkeypatch.setattr(search, "_witness_achieves", lambda spec, target: False)
+    assert main(["enumerate", "--family", "binary-fcr", "--r", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: no witness")
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@ import pytest
 from itertools import product
 
 from vfcr import gf2n
+from vfcr.exactmath import FactorBudgetExceeded
 from vfcr.gf2n import (
     BinaryPolynomial,
     PolynomialError,
@@ -14,6 +15,7 @@ from vfcr.gf2n import (
 )
 
 CUBIC = BinaryPolynomial.from_bits("1101")  # X^3 + X + 1, canonical lift
+LIFTS = ("11", "111", "-1,-1,1", "1101", "-1,1,0,1")
 
 
 def brute_gf_mul(a, b, P):
@@ -29,6 +31,37 @@ def brute_gf_mul(a, b, P):
             for i in range(n + 1):
                 prod[k - n + i] ^= pbits[i]
     return tuple(prod[:n])
+
+
+def power_table_mul(a, b, P):
+    """Reference: a*b summed over a table of Xbar^k, k = 0 .. 2n-2."""
+    n = P.n
+    table = []
+    cur = [1] + [0] * (n - 1)
+    for _ in range(2 * n - 1):
+        table.append(cur)
+        nxt = [0] + cur  # times X, degree n at the end
+        top = nxt[n]
+        cur = [nxt[i] - top * P.coeffs[i] for i in range(n)]
+    out = [0] * n
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            for k in range(n):
+                out[k] += ai * bj * table[i + j][k]
+    return tuple(out)
+
+
+@pytest.mark.parametrize("lift", LIFTS)
+def test_lifted_product_matches_power_table(lift):
+    P = BinaryPolynomial.parse(lift)
+    n = P.n
+    vecs = list(product(range(-2, 3), repeat=n))
+    units = [tuple(int(i == k) for i in range(n)) for k in range(n)]
+    for b in vecs:
+        M = mult_matrix(b, P)
+        assert M == tuple(power_table_mul(e, b, P) for e in units)
+        for a in vecs:
+            assert mul_lifted(a, b, P) == power_table_mul(a, b, P)
 
 
 def test_identity_element():
@@ -139,6 +172,20 @@ def test_primitivity_flag():
     assert CUBIC.primitive is True
     # X^4+X^3+X^2+X+1 is irreducible but Xbar has order 5, not 15
     assert BinaryPolynomial.from_bits("11111").primitive is False
+
+
+def test_primitivity_above_degree_20(monkeypatch):
+    # 2^31 - 1 is prime, so every irreducible modulus of degree 31 is primitive
+    assert BinaryPolynomial.from_bits("1001" + "0" * 27 + "1").primitive is True
+    # X^21 + X^7 + 1 is irreducible, but Xbar has order 49, not 2^21 - 1
+    P = BinaryPolynomial.from_bits("1" + "0" * 6 + "1" + "0" * 13 + "1")
+    assert P.n == 21 and P.primitive is False
+
+    def over_budget(n):
+        raise FactorBudgetExceeded("budget")
+
+    monkeypatch.setattr(gf2n, "factorize", over_budget)
+    assert P.primitive is None
 
 
 def test_parse_round_trip():

@@ -44,6 +44,16 @@ def test_expand_zero():
     assert all(all(x == 0 for x in row) for row in big)
 
 
+def test_expand_repeated_entries_match_per_entry_blocks():
+    P = gf2n.BinaryPolynomial.parse("-1,1,0,1")
+    x, y = (1, 1, 0), (0, 1, 1)
+    mat = ((x, y, x), (y, x, x), (x, x, y))
+    big = expand(mat, P)
+    for i, j in product(range(3), repeat=2):
+        block = tuple(row[3 * j : 3 * j + 3] for row in big[3 * i : 3 * i + 3])
+        assert block == gf2n.mult_matrix(mat[i][j], P)
+
+
 def test_expand_companion_matches_fibonacci_form():
     P = quadratic()
     coeffs = ((0, 1), (1, 0))  # q_1 = Xbar, q_2 = 1
