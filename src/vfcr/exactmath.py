@@ -22,75 +22,70 @@ class FactorBudgetExceeded(RuntimeError):
     """Raised when a factorization does not complete within its step budget."""
 
 
+def _bareiss(rows, d: int) -> int:
+    """Fraction-free (Bareiss) elimination of the first d columns, in place.
+
+    Columns past d are carried along; entries below the diagonal are not
+    cleared, as nothing reads them again.  Every division by the previous
+    pivot is exact, and the last pivot rows[d-1][d-1] is the determinant of
+    the row-permuted d x d block.  Returns the sign of the row permutation,
+    0 when singular.
+    """
+    sign = 1
+    prev = 1
+    w = len(rows[0])
+    for k in range(d - 1):
+        if rows[k][k] == 0:
+            for i in range(k + 1, d):
+                if rows[i][k] != 0:
+                    rows[k], rows[i] = rows[i], rows[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        pivot_row = rows[k]
+        pivot = pivot_row[k]
+        for i in range(k + 1, d):
+            row = rows[i]
+            f = row[k]
+            if not f and pivot == prev:
+                continue  # the update would leave the row as it is
+            for j in range(k + 1, w):
+                row[j] = (row[j] * pivot - f * pivot_row[j]) // prev
+        prev = pivot
+    return sign if rows[d - 1][d - 1] else 0
+
+
 def det_exact(matrix) -> int:
     """Exact determinant by fraction-free (Bareiss) elimination."""
     m = [list(row) for row in matrix]
     d = len(m)
     if d == 0 or any(len(row) != d for row in m):
         raise ValueError("matrix must be square and nonempty")
-    sign = 1
-    prev = 1
-    for k in range(d - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, d):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, d):
-            for j in range(k + 1, d):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[d - 1][d - 1]
+    return _bareiss(m, d) * m[d - 1][d - 1]
 
 
 def det_adj_left(matrix, v) -> tuple:
-    """(det A, v adj(A)) exactly, for a square integer matrix A = I (mod 2).
+    """(det A, v adj(A)) exactly, for a nonsingular square integer matrix A.
 
-    Such an A has odd determinant, and elimination modulo 2^K needs no
-    pivoting: every pivot stays odd.  K comes from Hadamard's bound on det A
-    and on its cofactors (every row norm is >= 1, as the diagonal is odd), so
-    the symmetric residues are the exact integers.  The cost is O(d^3)
-    products of K-bit numbers, with K about log2 |det A|.
+    x A = v is A^t x = v: Bareiss eliminates [A^t | v] to a triangle U x = c
+    whose last pivot D is +-det A.  Then y = D x is integral, and back
+    substitution y_i = (D c_i - sum_{j>i} U_ij y_j) / U_ii divides exactly.
+    The cost is O(d^3) products of integers about as long as det A.
     """
     d = len(matrix)
     if d == 0 or any(len(row) != d for row in matrix) or len(v) != d:
         raise ValueError("matrix must be square and nonempty, v of matching length")
-    norms = 1
-    for row in matrix:
-        norms *= sum(x * x for x in row)
-    bound = (math.isqrt(norms) + 1) * max(1, sum(abs(x) for x in v))
-    mod = 1 << (bound.bit_length() + 1)
-    mask = mod - 1
-    # x A = v  <=>  A^t x = v: eliminate on the transpose, augmented with v
-    rows = [[matrix[j][i] & mask for j in range(d)] + [v[i] & mask] for i in range(d)]
-    det = 1
-    for k in range(d):
-        pivot_row = rows[k]
-        pivot = pivot_row[k]
-        if not pivot & 1:
-            raise ValueError("matrix must be congruent to the identity mod 2")
-        det = det * pivot & mask
-        inv = pow(pivot, -1, mod)
-        tail = pivot_row[k + 1 :]
-        for row in rows[k + 1 :]:
-            f = row[k] * inv & mask
-            if f:  # columns <= k are not read again
-                row[k + 1 :] = [(x - f * y) & mask for x, y in zip(row[k + 1 :], tail)]
-    x = [0] * d
+    rows = [[matrix[j][i] for j in range(d)] + [v[i]] for i in range(d)]
+    sign = _bareiss(rows, d)
+    if not sign:
+        raise ValueError("matrix is singular")
+    D = rows[d - 1][d - 1]
+    y = [0] * d
     for i in range(d - 1, -1, -1):
         row = rows[i]
-        s = row[d] - sum(row[j] * x[j] for j in range(i + 1, d))
-        x[i] = s * pow(row[i], -1, mod) & mask
-    half = mod >> 1
-
-    def signed(y):
-        return y - mod if y >= half else y
-
-    return signed(det), [signed(xi * det & mask) for xi in x]
+        y[i] = (D * row[d] - sum(row[j] * y[j] for j in range(i + 1, d))) // row[i]
+    return sign * D, [sign * yi for yi in y]
 
 
 def _miller_rabin(n: int, base: int) -> bool:

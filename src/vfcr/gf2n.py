@@ -18,10 +18,6 @@ class PolynomialError(ValueError):
     pass
 
 
-def _bits_of_int_poly(p: int) -> str:
-    return bin(p)[2:][::-1]
-
-
 def _int_poly(bits) -> int:
     """Pack F2 coefficients (constant first) into an int, bit k = coeff of X^k."""
     v = 0

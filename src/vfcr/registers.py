@@ -43,17 +43,17 @@ class RegisterState:
     m: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "a", tuple(int(x) for x in self.a))
-        object.__setattr__(self, "m", tuple(int(x) for x in self.m))
+        for name in ("a", "m"):
+            xs = tuple(getattr(self, name))
+            try:
+                ints = tuple(map(int, xs))
+            except (OverflowError, ValueError) as exc:
+                raise SpecError(f"state entries must be integers ({exc})") from exc
+            if ints != xs:  # 1.5 or "1" would otherwise run as 1
+                raise SpecError("state entries must be integers")
+            object.__setattr__(self, name, ints)
         if any(b not in (0, 1) for b in self.a):
             raise SpecError("main register entries must be bits")
-
-    def to_dict(self):
-        return {"a": list(self.a), "m": list(self.m)}
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(tuple(d["a"]), tuple(d["m"]))
 
 
 @dataclass(frozen=True)
@@ -375,8 +375,9 @@ def closed_form(spec: RegisterSpec, init: RegisterState) -> tuple:
     A clock maps a + 2m to a.B + m, so the output vector alpha, read as
     2-adic integers, satisfies alpha (I - 2B) = a_0 + 2 m_0 (Klapper and
     Goresky 1997; Arnault et al. 2009).  Hence alpha = p / det(I - 2B) with
-    p = (a_0 + 2 m_0) adj(I - 2B), from one elimination and no stepping;
-    both are negated when the determinant is negative.
+    p = (a_0 + 2 m_0) adj(I - 2B), from one Bareiss elimination
+    (exactmath.det_adj_left) and no stepping; both are negated when the
+    determinant is negative.
     """
     spec._check_state(init)
     v = [a + 2 * m for a, m in zip(init.a, _ring_carries(spec, init.m))]

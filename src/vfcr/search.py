@@ -17,13 +17,8 @@ from itertools import product
 
 from . import gf2n, registers
 from .analysis import ring_connection_norm
-from .exactmath import (
-    FactorBudgetExceeded,
-    det_exact,
-    is_probable_prime,
-    is_primitive_root_2,
-)
-from .registers import GALOIS, RING, RegisterSpec, identity_minus_2t
+from .exactmath import FactorBudgetExceeded, is_probable_prime, is_primitive_root_2
+from .registers import GALOIS, RING, RegisterSpec
 
 FAMILIES = ("binary-fcr", "vfcsr-q-fib", "vfcsr-q-galois", "vfcr-q")
 
@@ -125,7 +120,7 @@ def _models(family: str, r: int, poly):
     if family == "binary-fcr":
         for code in range(1 << (r * r)):
             bits = [[(code >> (i * r + j)) & 1 for j in range(r)] for i in range(r)]
-            yield abs(det_exact(identity_minus_2t(bits))), partial(registers.binary_spec, RING, bits)
+            yield ring_connection_norm(bits)[1], partial(registers.binary_spec, RING, bits)
     elif family in ("vfcsr-q-fib", "vfcsr-q-galois"):
         P = poly or gf2n.quadratic()
         mode = registers.FIBONACCI if family.endswith("fib") else GALOIS
@@ -161,6 +156,8 @@ def _models(family: str, r: int, poly):
 
 def enumerate_family(family: str, r: int, poly=None, rho_budget: int = 10**6) -> FamilyReport:
     """Enumerate every model of a family; report norms and verified max periods."""
+    if r < 1:
+        raise ValueError("r must be >= 1")
     n = (poly or gf2n.quadratic()).n if family.startswith("v") else 1
     q_values = set()
     l_candidates = set()  # l-norms; each enters l_norms once a live model reaches it
@@ -206,6 +203,8 @@ def find_l_sequence_matrices(
     a seed-shuffled order; larger ones are sampled up to max_draws.  Raises
     SearchBudgetExceeded if the budget is spent without a single hit.
     """
+    if r < 1:
+        raise ValueError("r must be >= 1")
     if count < 1:
         raise ValueError("count must be >= 1")
     P = poly or gf2n.binary_modulus()

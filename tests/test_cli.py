@@ -222,6 +222,9 @@ def test_missing_witness_exits_1(capsys, monkeypatch):
         ({"T": [5, 5]}, None),
         ({"T": [[5, 5], [5, 5]]}, None),
         ({"poly": 5}, None),
+        ({}, '{"a": [1.5, 0, 0, 0], "m": [0, 0, 0, 0]}'),  # not truncated to 1
+        ({}, '{"a": [1, 0, 0, 0], "m": [0.7, 0, 0, 0]}'),
+        ({}, '{"a": [1, 0, 0, 0], "m": [Infinity, 0, 0, 0]}'),  # OverflowError in int()
     ],
 )
 def test_malformed_input_exits_2(tmp_path, capsys, spec_change, init):
@@ -232,3 +235,12 @@ def test_malformed_input_exits_2(tmp_path, capsys, spec_change, init):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("r", ["0", "-1"])
+@pytest.mark.parametrize("command", [["enumerate", "--family", f] for f in search.FAMILIES] + [["search"]])
+def test_r_below_1_exits_2(capsys, command, r):
+    assert main(command + ["--r", r]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: r must be >= 1\n"

@@ -108,7 +108,8 @@ def simulate_stdout(spec, init, steps, fmt):
             fh.write(spec.to_json())
         buf = io.BytesIO()
         out = io.TextIOWrapper(buf, encoding="utf-8")
-        argv = ["simulate", "--spec", path, "--init", json.dumps(init.to_dict()),
+        init_arg = json.dumps({"a": list(init.a), "m": list(init.m)})
+        argv = ["simulate", "--spec", path, "--init", init_arg,
                 "--steps", str(steps), "--format", fmt]
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
             rc = main(argv)

@@ -135,16 +135,27 @@ def test_primitive_root_2():
 
 def test_det_adj_left_matches_cofactors():
     rng = random.Random(11)
-    for _ in range(60):
+    swapped = 0
+    for _ in range(300):
         d = rng.randint(1, 5)
-        a = [[(i == j) - 2 * rng.randint(-3, 3) for j in range(d)] for i in range(d)]
+        # about half the entries zero, and a zero leading entry in half the
+        # draws, so that the elimination has to swap rows
+        a = [[rng.choice((0, 0, 0, 1, -1, 2, -3, 5)) for _ in range(d)] for _ in range(d)]
+        if d > 1 and rng.random() < 0.5:
+            a[0][0] = 0
+        det = cofactor_det(a)
+        if det == 0:
+            continue
+        swapped += a[0][0] == 0
         v = [rng.randint(-20, 20) for _ in range(d)]
-        det, p = det_adj_left(a, v)
-        assert det == cofactor_det(a)
+        got, p = det_adj_left(a, v)
+        assert got == det
         # p = v adj(A), i.e. p A = det v
         assert [sum(p[i] * a[i][j] for i in range(d)) for j in range(d)] == [det * x for x in v]
+    assert swapped >= 20
 
 
-def test_det_adj_left_needs_identity_mod_2():
-    with pytest.raises(ValueError):
-        det_adj_left([[2, 1], [1, 1]], [1, 0])
+def test_det_adj_left_rejects_singular():
+    for a in ([[0]], [[1, 2], [2, 4]], [[0, 1, 0], [0, 0, 1], [0, 1, 1]]):
+        with pytest.raises(ValueError):
+            det_adj_left(a, [1] * len(a))

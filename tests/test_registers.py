@@ -241,11 +241,6 @@ def test_spec_serialization_round_trip():
         assert RegisterSpec.from_json(spec.to_json()) == spec
 
 
-def test_state_serialization_round_trip():
-    s = RegisterState((1, 0, 1, 1), (0, 3, 1, 2))
-    assert RegisterState.from_dict(s.to_dict()) == s
-
-
 def test_malformed_spec_errors():
     with pytest.raises(SpecError):
         RegisterSpec.from_json("not json")
