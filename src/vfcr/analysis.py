@@ -49,12 +49,15 @@ def connection_integer(spec: RegisterSpec) -> tuple:
     """q = sum_i lift(q_i) 2^i - 1 as a coordinate vector in Z[X]/(P)."""
     if spec.mode == RING:
         raise ValueError("ring specs have no coefficient connection integer")
-    n = spec.n
-    out = [0] * n
-    for i, coeff in enumerate(spec.coeffs, start=1):
-        w = 1 << i
-        for j in range(n):
-            out[j] += w * coeff[j]
+    return connection_integer_of(spec.coeffs)
+
+
+def connection_integer_of(coeffs) -> tuple:
+    """sum_i lift(q_i) 2^i - 1 for coefficients q_1..q_r of n coordinates each."""
+    out = [0] * len(coeffs[0])
+    for i, coeff in enumerate(coeffs, start=1):
+        for j, c in enumerate(coeff):
+            out[j] += c << i
     out[0] -= 1
     return tuple(out)
 

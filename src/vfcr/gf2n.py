@@ -216,7 +216,7 @@ def norm(q, P: BinaryPolynomial) -> int:
 
 def elem_from_bits(bits: str, P: BinaryPolynomial) -> tuple:
     """Field element from a coordinate bit string, constant coordinate first."""
-    if len(bits) != P.n or set(bits) - {"0", "1"}:
+    if not isinstance(bits, str) or len(bits) != P.n or set(bits) - {"0", "1"}:
         raise ValueError(f"need {P.n} bits over {{0,1}}, got {bits!r}")
     return tuple(int(b) for b in bits)
 

@@ -49,7 +49,7 @@ class RegisterState:
                 ints = tuple(map(int, xs))
             except (OverflowError, ValueError) as exc:
                 raise SpecError(f"state entries must be integers ({exc})") from exc
-            if ints != xs:  # 1.5 or "1" would otherwise run as 1
+            if ints != xs or any(isinstance(x, bool) for x in xs):  # 1.5, "1", true run as 1
                 raise SpecError("state entries must be integers")
             object.__setattr__(self, name, ints)
         if any(b not in (0, 1) for b in self.a):
@@ -77,8 +77,8 @@ class RegisterSpec:
             raise SpecError(f"unknown base {self.base!r}")
         if self.mode not in MODES:
             raise SpecError(f"unknown mode {self.mode!r}")
-        if self.r < 1:
-            raise SpecError("length must be >= 1")
+        if type(self.r) is not int or self.r < 1:  # "2" or true would run as 2 or 1
+            raise SpecError(f"length must be an integer >= 1, got {self.r!r}")
         if self.base == "binary" and self.poly.n != 1:
             raise SpecError("binary registers use the degree-1 modulus")
         n = self.poly.n
@@ -178,7 +178,7 @@ class RegisterSpec:
         try:
             base = d["base"]
             mode = d["mode"]
-            r = int(d["r"])
+            r = d["r"]
         except (KeyError, TypeError) as exc:
             raise SpecError(f"malformed spec: {exc}") from exc
         if base == "binary":
@@ -193,17 +193,19 @@ class RegisterSpec:
                 raise SpecError("vectorial spec needs a poly field") from exc
             except (gf2n.PolynomialError, AttributeError) as exc:
                 raise SpecError(f"bad modulus: {exc}") from exc
-        try:
-            if "T" in d:
-                mat = tuple(
-                    tuple(gf2n.elem_from_bits(e, poly) for e in row) for row in d["T"]
-                )
-                return cls(base=base, mode=mode, r=r, poly=poly, matrix=mat)
-            if "q" in d:
-                coeffs = tuple(gf2n.elem_from_bits(e, poly) for e in d["q"])
-                return cls(base=base, mode=mode, r=r, poly=poly, coeffs=coeffs)
-        except TypeError as exc:
-            raise SpecError(f"malformed spec: {exc}") from exc
+
+        def listed(x):  # "1" in place of ["1"] would otherwise run as a list
+            if not isinstance(x, list):
+                raise SpecError(f"malformed spec: {x!r} is not a list")
+            return x
+
+        if "T" in d:
+            rows = listed(d["T"])
+            mat = tuple(tuple(gf2n.elem_from_bits(e, poly) for e in listed(row)) for row in rows)
+            return cls(base=base, mode=mode, r=r, poly=poly, matrix=mat)
+        if "q" in d:
+            coeffs = tuple(gf2n.elem_from_bits(e, poly) for e in listed(d["q"]))
+            return cls(base=base, mode=mode, r=r, poly=poly, coeffs=coeffs)
         raise SpecError("spec needs either 'q' or 'T'")
 
     def to_json(self) -> str:

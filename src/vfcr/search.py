@@ -12,19 +12,22 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import partial
-from itertools import product
+from itertools import combinations, product
+from operator import add
 
 from . import gf2n, registers
-from .analysis import ring_connection_norm
+from .analysis import connection_integer_of, ring_connection_norm
 from .exactmath import FactorBudgetExceeded, is_probable_prime, is_primitive_root_2
 from .registers import GALOIS, RING, RegisterSpec
 
 FAMILIES = ("binary-fcr", "vfcsr-q-fib", "vfcsr-q-galois", "vfcr-q")
 
+# enumerate_family refuses families of over 2^24 models (vfcr-q at r = 3 has 2^18)
+MODEL_CAP_BITS = 24
+
 
 class SearchBudgetExceeded(RuntimeError):
-    """The search space was exhausted (or the draw budget spent) without a hit."""
+    """A budget ran out: a family over the model cap, or a search without a hit."""
 
 
 @dataclass(frozen=True)
@@ -115,62 +118,90 @@ def _witness_achieves(spec: RegisterSpec, target: int) -> bool:
     return False
 
 
-def _models(family: str, r: int, poly):
-    """Yield (q_tilde, spec_factory) over every model of the family."""
+def _matrix_norms(r: int, P):
+    """Yield (q~, T) for every r x r matrix T over F2[X]/(P), row 0 slowest.
+
+    q~ = |N(det_R(I - 2T))| over R = Z[X]/(P), as the blocks of B commute
+    (Kovacs, Silver and Williams, Amer. Math. Monthly 106, 1999).  Depth-first
+    over the rows, the minors over R of the top k rows on each k-subset of
+    columns extend by Laplace expansion along the next row.  A last row sums
+    r cofactor products, and each distinct q costs one norm.
+    """
+    n = P.n
+    rows = list(product(_field_elements(n), repeat=r))  # the choices of one row
+    norms = {}  # q -> q~, for this call only
+
+    def products(v, sign, diag):
+        """sign (diag - 2 T_kj) v for each field element T_kj, in row order."""
+        sums = [(0,) * n]
+        for x in gf2n.mult_matrix(v, P):  # row i is Xbar^i v
+            sums = [s for t in sums for s in (t, tuple(map(add, t, x)))]
+        return [tuple(sign * (a * diag - 2 * b) for a, b in zip(v, p)) for p in sums]
+
+    def walk(k, top, minors):
+        # minor on columns S = sum over t of (-1)^(k+t) (I - 2T)_{k,S[t]} minor(S - S[t])
+        terms = {S: [products(minors[S[:t] + S[t + 1:]], (-1) ** (k + t), j == k)
+                     for t, j in enumerate(S)] for S in combinations(range(r), k + 1)}
+        if k == r - 1:
+            for row, parts in zip(rows, product(*terms[tuple(range(r))])):
+                q = tuple(map(sum, zip(*parts)))
+                if q not in norms:
+                    norms[q] = abs(gf2n.norm(q, P))
+                yield norms[q], top + (row,)
+            return
+        for row, idx in zip(rows, product(range(1 << n), repeat=r)):
+            below = {S: tuple(map(sum, zip(*(p[idx[j]] for p, j in zip(ps, S)))))
+                     for S, ps in terms.items()}
+            yield from walk(k + 1, top + (row,), below)
+
+    return walk(0, (), {(): (1,) + (0,) * (n - 1)})
+
+
+def _models(family: str, r: int, P):
+    """Iterator of (q~, model) over every model of the family, in model order."""
+    if family.startswith("vfcsr"):
+        cs = product(_field_elements(P.n), repeat=r)
+        return ((abs(gf2n.norm(connection_integer_of(c), P)), c) for c in cs)
+    return _matrix_norms(r, P)
+
+
+def _spec(family: str, r: int, P, model):
+    """The register of a model, or None for a degenerate one (q_r = 0)."""
     if family == "binary-fcr":
-        for code in range(1 << (r * r)):
-            bits = [[(code >> (i * r + j)) & 1 for j in range(r)] for i in range(r)]
-            yield ring_connection_norm(bits)[1], partial(registers.binary_spec, RING, bits)
-    elif family in ("vfcsr-q-fib", "vfcsr-q-galois"):
-        P = poly or gf2n.quadratic()
-        mode = registers.FIBONACCI if family.endswith("fib") else GALOIS
-        elems = _field_elements(P.n)
-        for coeffs in product(elems, repeat=r):
-            # connection integer q = sum lift(q_i) 2^i - 1, norm via its matrix
-            qvec = [0] * P.n
-            for i, c in enumerate(coeffs, start=1):
-                for j in range(P.n):
-                    qvec[j] += c[j] << i
-            qvec[0] -= 1
-            q_tilde = abs(gf2n.norm(tuple(qvec), P))
-
-            def make(coeffs=coeffs, mode=mode, P=P):
-                if not any(coeffs[-1]):
-                    return None  # degenerate model: q_r = 0
-                return RegisterSpec(base="vectorial", mode=mode, r=r, poly=P, coeffs=coeffs)
-
-            yield q_tilde, make
-    elif family == "vfcr-q":
-        P = poly or gf2n.quadratic()
-        elems = _field_elements(P.n)
-        for flat in product(elems, repeat=r * r):
-            mat = tuple(tuple(flat[i * r + j] for j in range(r)) for i in range(r))
-            big = registers.expand(mat, P)
-            _, q_tilde = ring_connection_norm(big)
-            yield q_tilde, lambda mat=mat, P=P: RegisterSpec(
-                base="vectorial", mode=RING, r=r, poly=P, matrix=mat
-            )
-    else:
-        raise ValueError(f"unsupported family {family!r}")
+        # T turned 180 degrees keeps det(I - 2T): model order is code order, (0, 0) fastest
+        return registers.binary_spec(RING, [[e[0] for e in row[::-1]] for row in model[::-1]])
+    if family == "vfcr-q":
+        return RegisterSpec(base="vectorial", mode=RING, r=r, poly=P, matrix=model)
+    if not any(model[-1]):
+        return None
+    mode = registers.FIBONACCI if family.endswith("fib") else GALOIS
+    return RegisterSpec(base="vectorial", mode=mode, r=r, poly=P, coeffs=model)
 
 
 def enumerate_family(family: str, r: int, poly=None, rho_budget: int = 10**6) -> FamilyReport:
-    """Enumerate every model of a family; report norms and verified max periods."""
+    """Enumerate every model of a family; report norms and verified max periods.
+
+    Raises SearchBudgetExceeded up front for more than 2^MODEL_CAP_BITS models.
+    """
     if r < 1:
         raise ValueError("r must be >= 1")
-    n = (poly or gf2n.quadratic()).n if family.startswith("v") else 1
+    if family not in FAMILIES:
+        raise ValueError(f"unsupported family {family!r}")
+    P = gf2n.binary_modulus() if family == "binary-fcr" else poly or gf2n.quadratic()
+    bits = P.n * (r if family.startswith("vfcsr") else r * r)  # log2 of the model count
+    if bits > MODEL_CAP_BITS:
+        raise SearchBudgetExceeded(f"{family} with r = {r}, n = {P.n} has 2^{bits} models,"
+                                   f" over the cap of 2^{MODEL_CAP_BITS}")
     q_values = set()
     l_candidates = set()  # l-norms; each enters l_norms once a live model reaches it
-    count = 0
     l_norms = {}  # q~ -> witness spec, None while no live model has achieved q~ - 1
-    for q_tilde, make in _models(family, r, poly):
-        count += 1
+    for q_tilde, model in _models(family, r, P):
         if q_tilde not in q_values:
             q_values.add(q_tilde)
             if _is_l_norm(q_tilde, rho_budget):
                 l_candidates.add(q_tilde)
         if q_tilde in l_candidates and l_norms.get(q_tilde) is None:
-            spec = make()
+            spec = _spec(family, r, P, model)
             if spec is None:  # degenerate model (q_r = 0): no register
                 continue
             l_norms[q_tilde] = spec if _witness_achieves(spec, q_tilde - 1) else None
@@ -180,8 +211,8 @@ def enumerate_family(family: str, r: int, poly=None, rho_budget: int = 10**6) ->
     return FamilyReport(
         family=family,
         r=r,
-        n=n,
-        model_count=count,
+        n=P.n,
+        model_count=1 << bits,
         q_values=tuple(sorted(q_values)),
         max_periods=tuple(sorted(q - 1 for q in l_norms)),
         witnesses=dict(sorted(l_norms.items())),

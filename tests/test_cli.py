@@ -225,6 +225,9 @@ def test_missing_witness_exits_1(capsys, monkeypatch):
         ({}, '{"a": [1.5, 0, 0, 0], "m": [0, 0, 0, 0]}'),  # not truncated to 1
         ({}, '{"a": [1, 0, 0, 0], "m": [0.7, 0, 0, 0]}'),
         ({}, '{"a": [1, 0, 0, 0], "m": [Infinity, 0, 0, 0]}'),  # OverflowError in int()
+        ({}, '{"a": [true, 0, 0, 0], "m": [0, 0, 0, 0]}'),  # not run as 1
+        ({"base": "binary", "r": 1, "poly": "11", "T": ["1"]}, None),  # a row as a string
+        ({"r": "2"}, None),
     ],
 )
 def test_malformed_input_exits_2(tmp_path, capsys, spec_change, init):
@@ -244,3 +247,16 @@ def test_r_below_1_exits_2(capsys, command, r):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: r must be >= 1\n"
+
+
+@pytest.mark.parametrize(
+    "family, r",
+    [("binary-fcr", "6"), ("vfcr-q", "4"), ("vfcsr-q-fib", "13"), ("vfcsr-q-galois", "13")],
+)
+def test_enumerate_over_the_model_cap_exits_3(capsys, family, r):
+    # refused up front: the family has more than 2^24 models
+    assert main(["enumerate", "--family", family, "--r", r]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "over the cap of 2^24" in captured.err

@@ -250,6 +250,13 @@ def test_malformed_spec_errors():
         RegisterSpec.from_json(
             '{"base": "vectorial", "mode": "ring", "r": 1, "T": [["10"]]}'
         )
+    # a string in place of a list of elements, or a list in place of a bit string
+    with pytest.raises(SpecError):
+        RegisterSpec.from_json('{"base": "binary", "mode": "galois", "r": 3, "q": "101"}')
+    with pytest.raises(ValueError):
+        RegisterSpec.from_json(
+            '{"base": "vectorial", "mode": "galois", "r": 1, "poly": "111", "q": [["0", "1"]]}'
+        )
 
 
 def test_exhaustive_mode_embedding_small():
