@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 from . import gf2n, registers
-from .exactmath import FactorBudgetExceeded, det_exact, multiplicative_order
+from .exactmath import DEFAULT_RHO_BUDGET, FactorBudgetExceeded, det_exact, multiplicative_order
 from .registers import (
     FIBONACCI,
     GALOIS,
@@ -21,6 +21,9 @@ from .registers import (
     StepBudgetExceeded,
     identity_minus_2t,
 )
+
+# analyze(reconstruct=True) refuses a preperiod + period over this many steps
+CYCLE_BUDGET = 10**6
 
 
 @dataclass(frozen=True)
@@ -103,7 +106,8 @@ def closed_form_numerator(spec: RegisterSpec, init: RegisterState) -> Rational2A
     if spec.n != 1 or spec.mode == RING:
         raise ValueError("closed-form numerator covers binary Fibonacci/Galois only")
     q, p = registers.closed_form(spec, init)
-    return Rational2Adic(p[0], q)
+    sign = 1 if q > 0 else -1
+    return Rational2Adic(sign * p[0], sign * q)
 
 
 def _preperiod(p: int, q: int) -> int:
@@ -228,22 +232,24 @@ def analyze(
     spec: RegisterSpec,
     init: RegisterState | None = None,
     reconstruct: bool = False,
-    rho_budget: int = 10**6,
-    cycle_budget: int = 10**6,
+    rho_budget: int = DEFAULT_RHO_BUDGET,
 ) -> AnalysisReport:
     """Full analysis: norms, determinant, period bound, weights, rationals.
 
-    With reconstruct, the rationals, preperiod and period come from the
-    closed form of init; StepBudgetExceeded when preperiod + period exceeds
-    cycle_budget.
+    det(I - 2B) and the numerators p come from one closed_form call (on the
+    zero state without init).  With reconstruct, the rationals, preperiod and
+    period come from them; StepBudgetExceeded when preperiod + period exceeds
+    CYCLE_BUDGET.
     """
-    big = spec.big_matrix()
-    det, q_tilde = ring_connection_norm(big)
+    if reconstruct and init is None:
+        raise ValueError("reconstruction needs an initial state")
+    det, p = registers.closed_form(spec, spec.zero_state() if init is None else init)
+    q_tilde = abs(det)
     report = AnalysisReport(
         spec=spec,
         q_tilde=q_tilde,
         det_i_minus_2t=det,
-        weights=memory_bounds(big),
+        weights=memory_bounds(spec.big_matrix()),
     )
     if spec.mode != RING:
         report.connection_integer = connection_integer(spec)
@@ -264,16 +270,15 @@ def analyze(
     else:
         report.order = 1
     if reconstruct:
-        if init is None:
-            raise ValueError("reconstruction needs an initial state")
-        q, p = registers.closed_form(spec, init)
-        report.rationals = [Rational2Adic(x, q).reduce() for x in p]
-        report.preperiod = max(_preperiod(x, q) for x in p)
+        if det < 0:
+            p = [-x for x in p]
+        report.rationals = [Rational2Adic(x, q_tilde).reduce() for x in p]
+        report.preperiod = max(_preperiod(x, q_tilde) for x in p)
         den = math.lcm(*(x.q for x in report.rationals))
         report.period = multiplicative_order(2, den, rho_budget) if den > 1 else 1
-        if report.preperiod + report.period > cycle_budget:
+        if report.preperiod + report.period > CYCLE_BUDGET:
             raise StepBudgetExceeded(
                 f"preperiod {report.preperiod} + period {report.period}"
-                f" exceeds the {cycle_budget}-step budget"
+                f" exceeds the {CYCLE_BUDGET}-step budget"
             )
     return report

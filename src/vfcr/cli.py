@@ -11,7 +11,7 @@ import json
 import sys
 
 from . import analysis, gf2n, registers, search
-from .exactmath import FactorBudgetExceeded
+from .exactmath import DEFAULT_RHO_BUDGET, FactorBudgetExceeded
 from .registers import RegisterSpec, RegisterState, SpecError, StepBudgetExceeded
 from .search import SearchBudgetExceeded
 
@@ -90,13 +90,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_analyze(args) -> int:
     spec = _load_spec(args)
-    init = _load_init(args, spec) if (args.init or args.reconstruct) else None
-    report = analysis.analyze(
-        spec,
-        init=init,
-        reconstruct=args.reconstruct,
-        rho_budget=args.budget,
-    )
+    report = analysis.analyze(spec, _load_init(args, spec), args.reconstruct, args.budget)
     json.dump(report.to_dict(), sys.stdout, sort_keys=True)
     sys.stdout.write("\n")
     return EXIT_OK
@@ -133,10 +127,9 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_search(args) -> int:
-    poly = _family_poly(args) or gf2n.binary_modulus()
     hits = search.find_l_sequence_matrices(
         args.r,
-        poly=poly,
+        poly=_family_poly(args),
         count=args.count,
         seed=args.seed,
         rho_budget=args.budget,
@@ -178,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     ana.add_argument("--spec", required=True)
     ana.add_argument("--init")
     ana.add_argument("--reconstruct", action="store_true", help="per-cell rationals")
-    ana.add_argument("--budget", type=int, default=10**6, help="Pollard rho step budget")
+    ana.add_argument("--budget", type=int, default=DEFAULT_RHO_BUDGET, help="Pollard rho step budget")
     ana.set_defaults(func=cmd_analyze)
 
     enu = sub.add_parser("enumerate", help="enumerate a register family")
@@ -193,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     sea.add_argument("--poly", help="modulus (default: binary)")
     sea.add_argument("--count", type=int, default=1)
     sea.add_argument("--seed", type=int, default=0)
-    sea.add_argument("--budget", type=int, default=10**6)
+    sea.add_argument("--budget", type=int, default=DEFAULT_RHO_BUDGET)
     sea.add_argument("--ring-only", action="store_true", help="require subdiagonal ones")
     sea.set_defaults(func=cmd_search)
 
@@ -201,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
     chk.add_argument("q_tilde", type=int)
     chk.add_argument("u", type=int)
     chk.add_argument("v", type=int)
-    chk.add_argument("--budget", type=int, default=10**6)
+    chk.add_argument("--budget", type=int, default=DEFAULT_RHO_BUDGET)
     chk.set_defaults(func=cmd_check_triplet)
 
     return parser

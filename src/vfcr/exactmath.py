@@ -111,7 +111,7 @@ def is_probable_prime(n: int) -> bool:
     n = abs(n)
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     if n < _MR_DETERMINISTIC_LIMIT:
@@ -120,15 +120,15 @@ def is_probable_prime(n: int) -> bool:
     return all(_miller_rabin(n, rng.randrange(2, n - 1)) for _ in range(_RANDOM_ROUNDS))
 
 
-def trial_division_factor(n: int, bound: int = TRIAL_DIVISION_BOUND):
-    """Strip prime factors up to bound; returns (sorted factor list, cofactor)."""
+def trial_division_factor(n: int):
+    """Strip prime factors up to TRIAL_DIVISION_BOUND; returns (sorted factor list, cofactor)."""
     factors = []
     for p in (2, 3):
         while n % p == 0:
             factors.append(p)
             n //= p
     d = 5
-    while d <= bound and d * d <= n:
+    while d <= TRIAL_DIVISION_BOUND and d * d <= n:
         for p in (d, d + 2):
             while n % p == 0:
                 factors.append(p)

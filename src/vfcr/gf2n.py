@@ -155,23 +155,15 @@ class BinaryPolynomial:
 
 # The quadratic modulus used throughout: X^2 - X - 1, whose quotient ring
 # Z[X]/(P) has norm form u^2 + uv - v^2.
-def quadratic() -> BinaryPolynomial:
-    return _quadratic_cached()
-
-
 @lru_cache(maxsize=1)
-def _quadratic_cached():
+def quadratic() -> BinaryPolynomial:
     return BinaryPolynomial((-1, -1, 1))
 
 
 # Degree-1 modulus X - 1, making Z[X]/(P) canonically Z; used to run the
 # binary automata through the vectorial machinery.
-def binary_modulus() -> BinaryPolynomial:
-    return _binary_cached()
-
-
 @lru_cache(maxsize=1)
-def _binary_cached():
+def binary_modulus() -> BinaryPolynomial:
     return BinaryPolynomial((-1, 1))
 
 

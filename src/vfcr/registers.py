@@ -31,10 +31,6 @@ class StepBudgetExceeded(RuntimeError):
     """A trajectory's preperiod + period exceeds the step budget."""
 
 
-def _floordiv2(x: int) -> int:
-    return x >> 1  # floor semantics, also for negatives
-
-
 @dataclass(frozen=True)
 class RegisterState:
     """Main register bits and integer carries, flattened per the cell-major order."""
@@ -85,23 +81,16 @@ class RegisterSpec:
         if self.mode == RING:
             if self.coeffs is not None or self.matrix is None:
                 raise SpecError("ring mode takes a transition matrix")
-            mat = tuple(tuple(tuple(int(b) & 1 for b in e) for e in row) for row in self.matrix)
+            mat = tuple(tuple(_elem(e, n) for e in row) for row in self.matrix)
             if len(mat) != self.r or any(len(row) != self.r for row in mat):
                 raise SpecError("transition matrix must be r x r")
-            for row in mat:
-                for e in row:
-                    if len(e) != n:
-                        raise SpecError("matrix entries must have n coordinates")
             object.__setattr__(self, "matrix", mat)
         else:
             if self.matrix is not None or self.coeffs is None:
                 raise SpecError(f"{self.mode} mode takes connection coefficients")
-            coeffs = tuple(tuple(int(b) & 1 for b in e) for e in self.coeffs)
+            coeffs = tuple(_elem(e, n) for e in self.coeffs)
             if len(coeffs) != self.r:
                 raise SpecError("need r connection coefficients")
-            for e in coeffs:
-                if len(e) != n:
-                    raise SpecError("coefficients must have n coordinates")
             if not any(coeffs[-1]):
                 raise SpecError("q_r must be nonzero")
             object.__setattr__(self, "coeffs", coeffs)
@@ -109,6 +98,11 @@ class RegisterSpec:
     @property
     def n(self) -> int:
         return self.poly.n
+
+    @property
+    def carry_count(self) -> int:
+        """Carries in a state: n for Fibonacci's single carry vector, rn otherwise."""
+        return self.n if self.mode == FIBONACCI else self.r * self.n
 
     @property
     def is_ring_shaped(self) -> bool:
@@ -145,9 +139,7 @@ class RegisterSpec:
         return expand(self.field_matrix(), self.poly)
 
     def zero_state(self) -> RegisterState:
-        rn = self.r * self.n
-        mlen = self.n if self.mode == FIBONACCI else rn
-        return RegisterState((0,) * rn, (0,) * mlen)
+        return RegisterState((0,) * (self.r * self.n), (0,) * self.carry_count)
 
     def state(self, a, m) -> RegisterState:
         s = RegisterState(tuple(a), tuple(m))
@@ -155,8 +147,7 @@ class RegisterSpec:
         return s
 
     def _check_state(self, s: RegisterState):
-        rn = self.r * self.n
-        mlen = self.n if self.mode == FIBONACCI else rn
+        rn, mlen = self.r * self.n, self.carry_count
         if len(s.a) != rn or len(s.m) != mlen:
             raise SpecError(
                 f"state needs {rn} bits and {mlen} carries, got {len(s.a)}/{len(s.m)}"
@@ -220,6 +211,14 @@ class RegisterSpec:
         return cls.from_dict(d)
 
 
+def _elem(e, n: int) -> tuple:
+    """A field element as n bits; SpecError on any other length or entry."""
+    e = tuple(e)
+    if len(e) != n or any(b not in (0, 1) for b in e):
+        raise SpecError(f"field elements need {n} entries over {{0, 1}}, got {e!r}")
+    return tuple(map(int, e))
+
+
 def _is_canonical_lift(poly: BinaryPolynomial) -> bool:
     return all(c in (0, 1) for c in poly.coeffs)
 
@@ -234,9 +233,9 @@ def binary_spec(mode: str, taps) -> RegisterSpec:
     """Binary FCSR/FCR shorthand: taps are bits q_1..q_r or a 0/1 matrix."""
     P = gf2n.binary_modulus()
     if mode == RING:
-        mat = tuple(tuple((int(b) & 1,) for b in row) for row in taps)
+        mat = tuple(tuple((b,) for b in row) for row in taps)
         return RegisterSpec(base="binary", mode=mode, r=len(mat), poly=P, matrix=mat)
-    coeffs = tuple((int(b) & 1,) for b in taps)
+    coeffs = tuple((b,) for b in taps)
     return RegisterSpec(base="binary", mode=mode, r=len(coeffs), poly=P, coeffs=coeffs)
 
 
@@ -282,7 +281,7 @@ def step_vfcr(state: RegisterState, big) -> RegisterState:
     for j, mj in enumerate(state.m):
         sigma[j] += mj
     a = tuple(s & 1 for s in sigma)
-    m = tuple(_floordiv2(s) for s in sigma)
+    m = tuple(s >> 1 for s in sigma)
     return RegisterState(a, m)
 
 
@@ -296,7 +295,7 @@ def step_fibonacci(state: RegisterState, spec: RegisterSpec) -> RegisterState:
         for j in range(n):
             sigma[j] += prod[j]
     new_cell = tuple(s & 1 for s in sigma)
-    m = tuple(_floordiv2(s) for s in sigma)
+    m = tuple(s >> 1 for s in sigma)
     return RegisterState(state.a[n:] + new_cell, m)
 
 
@@ -316,17 +315,13 @@ def step_galois(state: RegisterState, spec: RegisterSpec) -> RegisterState:
         for j in range(n):
             sigma[j] += state.m[i * n + j]
         new_a.extend(s & 1 for s in sigma)
-        new_m.extend(_floordiv2(s) for s in sigma)
+        new_m.extend(s >> 1 for s in sigma)
     return RegisterState(tuple(new_a), tuple(new_m))
 
 
 def step(spec: RegisterSpec, state: RegisterState) -> RegisterState:
     spec._check_state(state)
-    if spec.mode == FIBONACCI:
-        return step_fibonacci(state, spec)
-    if spec.mode == GALOIS:
-        return step_galois(state, spec)
-    return step_vfcr(state, spec.big_matrix())
+    return _stepper(spec)(state)
 
 
 def run(spec: RegisterSpec, init: RegisterState, steps: int):
@@ -372,28 +367,25 @@ def identity_minus_2t(big):
 
 
 def closed_form(spec: RegisterSpec, init: RegisterState) -> tuple:
-    """(q, p): coordinate i outputs the 2-adic rational p_i / q, with q > 0.
+    """(q, p): coordinate i outputs the 2-adic rational p_i / q, q = det(I - 2B).
 
     A clock maps a + 2m to a.B + m, so the output vector alpha, read as
     2-adic integers, satisfies alpha (I - 2B) = a_0 + 2 m_0 (Klapper and
     Goresky 1997; Arnault et al. 2009).  Hence alpha = p / det(I - 2B) with
     p = (a_0 + 2 m_0) adj(I - 2B), from one Bareiss elimination
-    (exactmath.det_adj_left) and no stepping; both are negated when the
-    determinant is negative.
+    (exactmath.det_adj_left) and no stepping.  q is signed (odd, so never 0);
+    callers that need q > 0 negate both.
     """
     spec._check_state(init)
     v = [a + 2 * m for a, m in zip(init.a, _ring_carries(spec, init.m))]
-    q, p = det_adj_left(identity_minus_2t(spec.big_matrix()), v)
-    if q < 0:
-        return -q, [-x for x in p]
-    return q, p
+    return det_adj_left(identity_minus_2t(spec.big_matrix()), v)
 
 
 def output_rows(spec: RegisterSpec, init: RegisterState, count: int) -> list:
     """The first count output bits of every coordinate, bit t of row i = a_i(t).
 
-    Row i is p_i q^-1 mod 2^count (see closed_form): one modular inverse and
-    rn products.
+    Row i is p_i q^-1 mod 2^count (see closed_form; the sign of q cancels):
+    one modular inverse and rn products.
     """
     if count < 0:
         raise ValueError("count must be >= 0")
@@ -450,17 +442,7 @@ def detect_cycle(spec: RegisterSpec, init: RegisterState, max_steps: int = 10**6
 
 def as_ring(spec: RegisterSpec):
     """Equivalent Ring-mode spec (F/G matrix) and the carry embedding map."""
-    if spec.mode == RING:
-        return spec, lambda s: s
-    ring = RegisterSpec(
+    ring = spec if spec.mode == RING else RegisterSpec(
         base=spec.base, mode=RING, r=spec.r, poly=spec.poly, matrix=spec.field_matrix()
     )
-    if spec.mode == GALOIS:
-        return ring, lambda s: s
-    rn = spec.r * spec.n
-
-    def embed(s: RegisterState) -> RegisterState:
-        # Fibonacci's single carry vector lands in the last carry slot
-        return RegisterState(s.a, (0,) * (rn - spec.n) + tuple(s.m))
-
-    return ring, embed
+    return ring, lambda s: RegisterState(s.a, tuple(_ring_carries(spec, s.m)))

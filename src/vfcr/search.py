@@ -17,13 +17,18 @@ from operator import add
 
 from . import gf2n, registers
 from .analysis import connection_integer_of, ring_connection_norm
-from .exactmath import FactorBudgetExceeded, is_probable_prime, is_primitive_root_2
+from .exactmath import (DEFAULT_RHO_BUDGET, FactorBudgetExceeded, is_probable_prime,
+                        is_primitive_root_2)
 from .registers import GALOIS, RING, RegisterSpec
 
 FAMILIES = ("binary-fcr", "vfcsr-q-fib", "vfcsr-q-galois", "vfcr-q")
 
-# enumerate_family refuses families of over 2^24 models (vfcr-q at r = 3 has 2^18)
+# enumerate_family refuses families of over 2^24 models (vfcr-q at r = 3 has 2^18),
+# and families whose models times n^3 (the cost of an n x n norm) exceed 2^27
 MODEL_CAP_BITS = 24
+NORM_WORK_CAP_BITS = 27
+# find_l_sequence_matrices samples at most this many matrices of a large space
+MAX_DRAWS = 10**4
 
 
 class SearchBudgetExceeded(RuntimeError):
@@ -104,7 +109,7 @@ def _witness_achieves(spec: RegisterSpec, target: int) -> bool:
     """True iff an initial state with zero carries has a cell of period target.
 
     For target = q~ - 1 with q~ an l-norm, cell i outputs p_i / q~ with
-    p = +-a_0 adj(I - 2B) (registers.closed_form); its period is q~ - 1
+    p = a_0 adj(I - 2B) (registers.closed_form); its period is q~ - 1
     unless p_i = 0 mod q~, and then 1.  As p is linear in a_0, some bit state
     is a witness iff some unit vector e_k is.
     """
@@ -178,10 +183,11 @@ def _spec(family: str, r: int, P, model):
     return RegisterSpec(base="vectorial", mode=mode, r=r, poly=P, coeffs=model)
 
 
-def enumerate_family(family: str, r: int, poly=None, rho_budget: int = 10**6) -> FamilyReport:
+def enumerate_family(family: str, r: int, poly=None) -> FamilyReport:
     """Enumerate every model of a family; report norms and verified max periods.
 
-    Raises SearchBudgetExceeded up front for more than 2^MODEL_CAP_BITS models.
+    Raises SearchBudgetExceeded up front for more than 2^MODEL_CAP_BITS models,
+    or when 2^bits models times n^3 exceeds 2^NORM_WORK_CAP_BITS.
     """
     if r < 1:
         raise ValueError("r must be >= 1")
@@ -192,13 +198,16 @@ def enumerate_family(family: str, r: int, poly=None, rho_budget: int = 10**6) ->
     if bits > MODEL_CAP_BITS:
         raise SearchBudgetExceeded(f"{family} with r = {r}, n = {P.n} has 2^{bits} models,"
                                    f" over the cap of 2^{MODEL_CAP_BITS}")
+    if P.n**3 << bits > 1 << NORM_WORK_CAP_BITS:
+        raise SearchBudgetExceeded(f"{family} with r = {r}, n = {P.n} has 2^{bits} models times"
+                                   f" n^3 = {P.n**3}, over the cap of 2^{NORM_WORK_CAP_BITS}")
     q_values = set()
     l_candidates = set()  # l-norms; each enters l_norms once a live model reaches it
     l_norms = {}  # q~ -> witness spec, None while no live model has achieved q~ - 1
     for q_tilde, model in _models(family, r, P):
         if q_tilde not in q_values:
             q_values.add(q_tilde)
-            if _is_l_norm(q_tilde, rho_budget):
+            if _is_l_norm(q_tilde, DEFAULT_RHO_BUDGET):
                 l_candidates.add(q_tilde)
         if q_tilde in l_candidates and l_norms.get(q_tilde) is None:
             spec = _spec(family, r, P, model)
@@ -224,14 +233,13 @@ def find_l_sequence_matrices(
     poly=None,
     count: int = 1,
     seed: int = 0,
-    rho_budget: int = 10**6,
+    rho_budget: int = DEFAULT_RHO_BUDGET,
     ring_only: bool = False,
-    max_draws: int = 10**4,
 ):
     """Transition matrices whose connection norm is prime with 2 a primitive root.
 
     Deterministic for a fixed seed.  Small spaces are scanned exhaustively in
-    a seed-shuffled order; larger ones are sampled up to max_draws.  Raises
+    a seed-shuffled order; larger ones are sampled up to MAX_DRAWS times.  Raises
     SearchBudgetExceeded if the budget is spent without a single hit.
     """
     if r < 1:
@@ -255,7 +263,7 @@ def find_l_sequence_matrices(
         codes = list(range(space))
         rng.shuffle(codes)
     else:
-        codes = (rng.randrange(space) for _ in range(max_draws))
+        codes = (rng.randrange(space) for _ in range(MAX_DRAWS))
 
     hits = []
     seen = set()
@@ -283,7 +291,8 @@ def find_l_sequence_matrices(
     return hits
 
 
-def check_triplet(q_tilde: int, u: int, v: int, rho_budget: int = 10**6) -> TripletReport:
+def check_triplet(q_tilde: int, u: int, v: int,
+                  rho_budget: int = DEFAULT_RHO_BUDGET) -> TripletReport:
     """Validate a (q~, u, v) candidate against the quadratic norm form."""
     if min(q_tilde, u, v) < 0:
         raise ValueError("triplet entries must be nonnegative")

@@ -1,6 +1,13 @@
+import contextlib
+import io
 import json
+import os
+import tempfile
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from golden_data import (
     Q61_INIT_A,
@@ -260,3 +267,74 @@ def test_enumerate_over_the_model_cap_exits_3(capsys, family, r):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert "over the cap of 2^24" in captured.err
+
+
+def test_enumerate_over_the_norm_work_cap_exits_3(capsys):
+    # X^18 + X^7 + 1 at r = 1: 2^18 models, each with its own 18 x 18 norm
+    t0 = time.perf_counter()
+    assert main(["enumerate", "--family", "vfcr-q", "--r", "1", "--poly", "1000000100000000001"]) == 3
+    assert time.perf_counter() - t0 < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "over the cap of 2^27" in captured.err
+
+
+JSON_LEAVES = (st.none() | st.booleans() | st.integers(-3, 300) | st.floats(-2, 2)
+               | st.sampled_from(["", "1", "01", "11", "-1,1", "1101", "-1,-1,1", "binary",
+                                  "vectorial", "ring", "galois", "fibonacci", "x"]))
+JSON_VALUES = st.recursive(JSON_LEAVES, lambda inner: st.lists(inner, max_size=4)
+                           | st.dictionaries(st.sampled_from(["a", "m", "x"]), inner, max_size=3),
+                           max_leaves=12)
+
+
+@st.composite
+def malformed_specs(draw):
+    """Q61_SPEC as it is or with fields dropped or replaced, or any JSON value."""
+    kind = draw(st.sampled_from(("valid", "part", "json")))
+    if kind == "json":
+        return json.dumps(draw(JSON_VALUES))
+    spec = dict(Q61_SPEC)
+    keys = st.sampled_from(["base", "mode", "r", "poly", "T", "q"])
+    for key in draw(st.sets(keys, min_size=1)) if kind == "part" else ():
+        if draw(st.booleans()):
+            spec.pop(key, None)
+        else:
+            spec[key] = draw(JSON_VALUES)
+    return json.dumps(spec)
+
+
+@st.composite
+def malformed_inits(draw):
+    """None, a Q61 state with a part replaced, any JSON value, or text that is no JSON."""
+    kind = draw(st.sampled_from(("none", "part", "json", "text")))
+    if kind == "none":
+        return None
+    if kind == "part":
+        init = {"a": list(Q61_INIT_A), "m": list(Q61_INIT_M)}
+        init[draw(st.sampled_from(["a", "m"]))] = draw(JSON_VALUES)
+        return json.dumps(init)
+    if kind == "json":
+        return json.dumps(draw(JSON_VALUES))
+    return draw(st.text(max_size=12))
+
+
+@settings(max_examples=150, deadline=None)
+@given(malformed_specs(), malformed_inits(),
+       st.sampled_from([["simulate", "--steps", "5"], ["simulate", "--format", "bytes"],
+                        ["simulate", "--format", "structured", "--steps", "3"],
+                        ["analyze"], ["analyze", "--reconstruct"]]))
+def test_malformed_input_maps_to_an_exit_code(spec_text, init, command):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "spec.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(spec_text)
+        argv = command + ["--spec", path] + (["--init", init] if init is not None else [])
+        buf = io.BytesIO()
+        out = io.TextIOWrapper(buf, encoding="utf-8")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            rc = main(argv)  # an exception escaping main fails the test
+        out.flush()
+    assert rc in (0, 1, 2, 3)
+    if rc == 2:
+        assert buf.getvalue() == b""

@@ -19,7 +19,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from vfcr import gf2n
-from vfcr.analysis import analyze, sequence_to_rational
+from vfcr.analysis import Rational2Adic, analyze, ring_connection_norm, sequence_to_rational
 from vfcr.cli import main
 from vfcr.exactmath import det_exact, is_primitive_root_2, is_probable_prime, multiplicative_order
 from vfcr.registers import (
@@ -28,6 +28,7 @@ from vfcr.registers import (
     RING,
     RegisterSpec,
     StepBudgetExceeded,
+    closed_form,
     detect_cycle,
     identity_minus_2t,
     output_rows,
@@ -160,11 +161,24 @@ def test_analyze_reconstruct_matches_cycle_walk(reg):
         s, t = detect_cycle(spec, init, max_steps=CYCLE_WALK_BUDGET)
     except StepBudgetExceeded:
         assume(False)
-    # Brent walks at least preperiod + period steps, so the same budget holds
-    report = analyze(spec, init, reconstruct=True, cycle_budget=CYCLE_WALK_BUDGET)
+    # Brent walks at least preperiod + period steps, so CYCLE_BUDGET holds too
+    report = analyze(spec, init, reconstruct=True)
     assert (report.preperiod, report.period) == (s, t)
     bits, _ = run(spec, init, s + t)
     assert report.rationals == [sequence_to_rational(row, s, t) for row in bits]
+
+
+@settings(max_examples=150, deadline=None)
+@given(registers())
+def test_analyze_determinant_matches_bareiss(reg):
+    # analyze takes det(I - 2B) from the signed closed form, not from det_exact
+    spec, init = reg
+    det, p = closed_form(spec, init)
+    assert analyze(spec).det_i_minus_2t == ring_connection_norm(spec.big_matrix())[0] == det
+    sign = 1 if det > 0 else -1
+    report = analyze(spec, init, reconstruct=True)
+    assert report.det_i_minus_2t == det
+    assert report.rationals == [Rational2Adic(sign * x, abs(det)).reduce() for x in p]
 
 
 def minimal_period(seq, preperiod, period):

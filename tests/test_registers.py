@@ -257,6 +257,17 @@ def test_malformed_spec_errors():
         RegisterSpec.from_json(
             '{"base": "vectorial", "mode": "galois", "r": 1, "poly": "111", "q": [["0", "1"]]}'
         )
+    # entries outside {0, 1} are refused, not reduced mod 2
+    with pytest.raises(SpecError):
+        RegisterSpec(base="binary", mode="ring", r=1, poly=gf2n.binary_modulus(), matrix=(((3,),),))
+    with pytest.raises(SpecError):
+        RegisterSpec(base="vectorial", mode="ring", r=1, poly=quadratic(), matrix=(((3, 2),),))
+    with pytest.raises(SpecError):
+        RegisterSpec(base="vectorial", mode="fibonacci", r=1, poly=quadratic(), coeffs=((1, -1),))
+    with pytest.raises(SpecError):
+        binary_spec("galois", [1, 2, 3])
+    with pytest.raises(SpecError):
+        binary_spec("ring", [[1, 0], [1, 2]])
 
 
 def test_exhaustive_mode_embedding_small():
