@@ -32,17 +32,14 @@ class Rational2Adic:
 
     p: int
     q: int
-    reduced: bool = False
 
     def __post_init__(self):
         if self.q <= 0 or self.q % 2 == 0:
             raise ValueError("denominator must be odd and positive")
-        if self.reduced and math.gcd(self.p, self.q) != 1:
-            raise ValueError("marked reduced but gcd > 1")
 
     def reduce(self) -> "Rational2Adic":
         g = math.gcd(self.p, self.q)
-        return Rational2Adic(self.p // g, self.q // g, reduced=True)
+        return Rational2Adic(self.p // g, self.q // g)
 
     def __str__(self):
         return f"{self.p}/{self.q}"

@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 property-check failure, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 
@@ -22,8 +23,6 @@ EXIT_BUDGET = 3
 
 
 def _load_spec(args) -> RegisterSpec:
-    if args.spec is None:
-        raise SpecError("--spec FILE is required")
     with open(args.spec, "r", encoding="utf-8") as fh:
         return RegisterSpec.from_json(fh.read())
 
@@ -36,6 +35,10 @@ def _load_init(args, spec: RegisterSpec) -> RegisterState:
         return spec.state(d["a"], d["m"])
     except (KeyError, TypeError) as exc:
         raise SpecError(f'--init needs a JSON object with "a" and "m" lists ({exc!r})') from exc
+
+
+def _print_json(doc):
+    sys.stdout.write(json.dumps(doc, sort_keys=True) + "\n")  # dumps: the C encoder
 
 
 def _bit_string(x: int, count: int) -> str:
@@ -71,7 +74,7 @@ def cmd_simulate(args) -> int:
             "bits": bits,
             "memory": [[str(x) for x in row] for row in mems],
         }
-        out.write(json.dumps(doc, sort_keys=True) + "\n")
+        _print_json(doc)
         return EXIT_OK
     if args.format == "bytes" and spec.n > 8:
         raise SpecError("bytes format needs n <= 8")
@@ -91,26 +94,20 @@ def cmd_simulate(args) -> int:
 def cmd_analyze(args) -> int:
     spec = _load_spec(args)
     report = analysis.analyze(spec, _load_init(args, spec), args.reconstruct, args.budget)
-    json.dump(report.to_dict(), sys.stdout, sort_keys=True)
-    sys.stdout.write("\n")
+    _print_json(report.to_dict())
     return EXIT_OK
 
 
 def _family_poly(args):
-    if args.poly:
-        return gf2n.BinaryPolynomial.parse(args.poly)
-    return None
+    return gf2n.BinaryPolynomial.parse(args.poly) if args.poly else None
 
 
 def cmd_enumerate(args) -> int:
     report = search.enumerate_family(args.family, args.r, poly=_family_poly(args))
     if args.format == "csv":
-        sys.stdout.write("family,r,n,q_tilde,max_period,witness_spec\n")
-        for row in report.csv_rows():
-            sys.stdout.write(
-                ",".join('"' + f.replace('"', '""') + '"' if isinstance(f, str) and "," in f else str(f) for f in row)
-                + "\n"
-            )
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(("family", "r", "n", "q_tilde", "max_period", "witness_spec"))
+        writer.writerows(report.csv_rows())
     else:
         doc = {
             "family": report.family,
@@ -121,8 +118,7 @@ def cmd_enumerate(args) -> int:
             "max_periods": [str(p) for p in report.max_periods],
             "witnesses": {str(q): w.to_dict() for q, w in report.witnesses.items()},
         }
-        json.dump(doc, sys.stdout, sort_keys=True)
-        sys.stdout.write("\n")
+        _print_json(doc)
     return EXIT_OK
 
 
@@ -139,15 +135,13 @@ def cmd_search(args) -> int:
         {"spec": h["spec"].to_dict(), "q_tilde": str(h["q_tilde"]), "order": str(h["order"])}
         for h in hits
     ]
-    json.dump(doc, sys.stdout, sort_keys=True)
-    sys.stdout.write("\n")
+    _print_json(doc)
     return EXIT_OK
 
 
 def cmd_check_triplet(args) -> int:
     report = search.check_triplet(args.q_tilde, args.u, args.v, rho_budget=args.budget)
-    json.dump(report.to_dict(), sys.stdout, sort_keys=True)
-    sys.stdout.write("\n")
+    _print_json(report.to_dict())
     if report.form_ok and report.prime and report.primitive_root is not False:
         return EXIT_OK
     return EXIT_CHECK_FAILED

@@ -138,9 +138,7 @@ def trial_division_factor(n: int):
 
 
 def _pollard_rho(n: int, budget: int, rng: random.Random) -> int | None:
-    """One Brent-style rho run; returns a nontrivial factor or None on budget."""
-    if n % 2 == 0:
-        return 2
+    """One Brent-style rho run on odd n; returns a nontrivial factor or None on budget."""
     steps = 0
     while steps < budget:
         y = rng.randrange(1, n)
@@ -192,8 +190,6 @@ def factorize(n: int, rho_budget: int = DEFAULT_RHO_BUDGET) -> dict:
     budget = rho_budget
     while stack:
         m = stack.pop()
-        if m == 1:
-            continue
         if is_probable_prime(m):
             out[m] = out.get(m, 0) + 1
             continue

@@ -63,8 +63,6 @@ def _gf2_gcd(a: int, b: int) -> int:
 def _is_irreducible(m: int) -> bool:
     """Rabin's irreducibility test for a polynomial over F2 (int-encoded)."""
     n = m.bit_length() - 1
-    if n < 1:
-        return False
     if n == 1:
         return True
     x = 0b10

@@ -57,8 +57,9 @@ class RegisterSpec:
     """A register family member: base field, mode, length and connection data.
 
     Fibonacci/Galois take connection coefficients q_1..q_r (q_r nonzero);
-    Ring takes an r x r transition matrix over the field.  Matrices without
-    the subdiagonal-ones shape are accepted and flagged as general registers.
+    Ring takes an r x r transition matrix over the field, of any shape: one
+    without ones on the subdiagonal (see has_subdiagonal_ones) is a general
+    register.
     """
 
     base: str
@@ -104,36 +105,21 @@ class RegisterSpec:
         """Carries in a state: n for Fibonacci's single carry vector, rn otherwise."""
         return self.n if self.mode == FIBONACCI else self.r * self.n
 
-    @property
-    def is_ring_shaped(self) -> bool:
-        """True when the transition matrix has ones on the subdiagonal."""
-        return self.mode != RING or has_subdiagonal_ones(self.matrix, self.n)
-
     def field_matrix(self):
-        """The r x r transition matrix over the field (F/G for Fibonacci/Galois)."""
-        n = self.n
-        zero = (0,) * n
-        one = (1,) + (0,) * (n - 1)
-        r = self.r
+        """The r x r transition matrix over the field (F/G for Fibonacci/Galois).
+
+        Galois G has q_1 .. q_r in its first row over a subdiagonal identity;
+        Fibonacci F is G turned over its antidiagonal, F[i][j] = G[r-1-j][r-1-i].
+        """
         if self.mode == RING:
             return self.matrix
-        rows = []
-        if self.mode == FIBONACCI:
-            # last column carries q_r, q_{r-1}, ..., q_1; subdiagonal identity
-            for i in range(r):
-                row = [zero] * r
-                if i > 0:
-                    row[i - 1] = one
-                row[r - 1] = self.coeffs[r - 1 - i]
-                rows.append(tuple(row))
-        else:
-            # first row carries q_1 ... q_r; subdiagonal identity
-            rows.append(tuple(self.coeffs))
-            for i in range(1, r):
-                row = [zero] * r
-                row[i - 1] = one
-                rows.append(tuple(row))
-        return tuple(rows)
+        r, n = self.r, self.n
+        zero, one = (0,) * n, (1,) + (0,) * (n - 1)
+        g = (self.coeffs,) + tuple(tuple(one if j == i - 1 else zero for j in range(r))
+                                   for i in range(1, r))
+        if self.mode == GALOIS:
+            return g
+        return tuple(tuple(g[r - 1 - j][r - 1 - i] for j in range(r)) for i in range(r))
 
     def big_matrix(self):
         return expand(self.field_matrix(), self.poly)

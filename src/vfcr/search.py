@@ -2,10 +2,9 @@
 
 A register reaches the maximal period q~ - 1 (an l-sequence) exactly when
 its connection norm q~ is prime and 2 is a primitive root modulo q~.  The
-family enumerators report the achieved connection norms and verify every
+family enumerators report the achieved connection norms and certify every
 claimed maximal period on a witness register, exactly and without stepping:
-a cell outputs p_i/q with q = det(I - 2B), and has period q~ - 1 exactly
-when p_i is nonzero modulo q~.
+the witness's own |det(I - 2B)| must equal q~ (see _witness_achieves).
 """
 
 from __future__ import annotations
@@ -106,21 +105,15 @@ def _is_l_norm(q: int, rho_budget: int) -> bool:
 
 
 def _witness_achieves(spec: RegisterSpec, target: int) -> bool:
-    """True iff an initial state with zero carries has a cell of period target.
+    """True iff |det(I - 2B)| = target + 1, which certifies a period-target cell.
 
-    For target = q~ - 1 with q~ an l-norm, cell i outputs p_i / q~ with
-    p = a_0 adj(I - 2B) (registers.closed_form); its period is q~ - 1
-    unless p_i = 0 mod q~, and then 1.  As p is linear in a_0, some bit state
-    is a witness iff some unit vector e_k is.
+    Cell i outputs p_i / q with q = det(I - 2B) and p = a_0 adj(I - 2B)
+    (registers.closed_form), of period q~ - 1 unless p_i = 0 mod q~.  For an
+    l-norm q~ = target + 1 = |q|, I - 2B has Smith form diag(1, ..., 1, q~),
+    so adj(I - 2B) is nonzero mod q~ and some unit bit state e_k with zero
+    carries has such a cell.  A register of another norm is refused.
     """
-    q_tilde = target + 1
-    rn = spec.r * spec.n
-    m = spec.zero_state().m
-    for k in range(rn):
-        _, p = registers.closed_form(spec, spec.state([int(i == k) for i in range(rn)], m))
-        if any(x % q_tilde for x in p):
-            return True
-    return False
+    return ring_connection_norm(spec.big_matrix())[1] == target + 1
 
 
 def _matrix_norms(r: int, P):
@@ -202,21 +195,20 @@ def enumerate_family(family: str, r: int, poly=None) -> FamilyReport:
         raise SearchBudgetExceeded(f"{family} with r = {r}, n = {P.n} has 2^{bits} models times"
                                    f" n^3 = {P.n**3}, over the cap of 2^{NORM_WORK_CAP_BITS}")
     q_values = set()
-    l_candidates = set()  # l-norms; each enters l_norms once a live model reaches it
-    l_norms = {}  # q~ -> witness spec, None while no live model has achieved q~ - 1
+    l_candidates = set()  # l-norms; each enters l_norms with its first live model
+    l_norms = {}  # q~ -> witness spec
     for q_tilde, model in _models(family, r, P):
         if q_tilde not in q_values:
             q_values.add(q_tilde)
             if _is_l_norm(q_tilde, DEFAULT_RHO_BUDGET):
                 l_candidates.add(q_tilde)
-        if q_tilde in l_candidates and l_norms.get(q_tilde) is None:
+        if q_tilde in l_candidates and q_tilde not in l_norms:
             spec = _spec(family, r, P, model)
-            if spec is None:  # degenerate model (q_r = 0): no register
-                continue
-            l_norms[q_tilde] = spec if _witness_achieves(spec, q_tilde - 1) else None
-    missing = [q for q, w in l_norms.items() if w is None]
+            if spec is not None:  # a degenerate model (q_r = 0) has no register
+                l_norms[q_tilde] = spec
+    missing = [q for q, w in l_norms.items() if not _witness_achieves(w, q - 1)]
     if missing:
-        raise AssertionError(f"no witness of period q~ - 1 (p_i != 0 mod q~) for norms {missing}")
+        raise AssertionError(f"no witness with |det(I - 2B)| = q~ for norms {missing}")
     return FamilyReport(
         family=family,
         r=r,

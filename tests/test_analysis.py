@@ -42,8 +42,6 @@ def test_rational_validation():
         Rational2Adic(1, 2)
     with pytest.raises(ValueError):
         Rational2Adic(1, -3)
-    with pytest.raises(ValueError):
-        Rational2Adic(3, 9, reduced=True)
     assert str(Rational2Adic(6, 9).reduce()) == "2/3"
 
 

@@ -219,6 +219,33 @@ def test_missing_witness_exits_1(capsys, monkeypatch):
     assert captured.err.startswith("error: no witness")
 
 
+def test_misreported_norm_exits_1(capsys, monkeypatch):
+    # a cofactor walk that reports the l-norm 61 as the l-norm 59 leaves 59 without a witness
+    walk = search._matrix_norms
+    monkeypatch.setattr(search, "_matrix_norms",
+                        lambda r, P: ((59 if q == 61 else q, T) for q, T in walk(r, P)))
+    assert main(["enumerate", "--family", "vfcr-q", "--r", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: no witness")
+
+
+@pytest.mark.parametrize("budget, order", [(["--budget", "1"], "unavailable"),
+                                           ([], "252297405756")])
+def test_analyze_order_over_the_factor_budget_is_unavailable(tmp_path, capsys, budget, order):
+    path = tmp_path / "g.json"
+    taps = [int(b) for b in "10000111100001010101011100001111101010111"]
+    path.write_text(binary_spec("galois", taps).to_json())
+    assert main(["analyze", "--spec", str(path)] + budget) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["q_tilde"] == "4036763141057"
+    assert doc["order"] == order
+    if order == "unavailable":
+        assert doc["order_unavailable"].startswith("factorization budget exceeded")
+    else:
+        assert "order_unavailable" not in doc
+
+
 @pytest.mark.parametrize(
     "spec_change, init",
     [

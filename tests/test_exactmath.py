@@ -85,6 +85,13 @@ def test_factorize():
         factorize((2**89 - 1) * (2**107 - 1), rho_budget=100)
 
 
+@pytest.mark.parametrize("n, factors", [(1000220006771, {1000037: 1, 1000183: 1}),
+                                        (1000033**2, {1000033: 2})])
+def test_factorize_through_the_rho_backtrack(n, factors):
+    # both factors lie past trial division, and rho's batched gcd reaches n itself
+    assert factorize(n) == factors
+
+
 def test_multiplicative_order_examples():
     assert multiplicative_order(2, 11) == 10
     assert multiplicative_order(2, 61) == 60

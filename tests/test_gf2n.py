@@ -160,6 +160,12 @@ def test_rejects_reducible():
         BinaryPolynomial.from_bits("101")  # X^2 + 1 = (X+1)^2
 
 
+def test_rejects_reducible_past_the_frobenius_check():
+    # (X^3+X+1)(X^3+X^2+1) satisfies X^(2^6) = X; only the gcd step refuses it
+    with pytest.raises(PolynomialError):
+        BinaryPolynomial.from_bits("1111111")
+
+
 def test_rejects_even_constant_and_nonmonic():
     with pytest.raises(PolynomialError):
         BinaryPolynomial((0, 1, 1))

@@ -11,6 +11,7 @@ from golden_data import (
 )
 from vfcr import gf2n
 from vfcr.analysis import analyze
+from vfcr.exactmath import det_adj_left, factorize
 from vfcr.gf2n import quadratic
 from vfcr.registers import (
     RegisterSpec,
@@ -21,6 +22,8 @@ from vfcr.registers import (
     binary_spec,
     detect_cycle,
     expand,
+    has_subdiagonal_ones,
+    output_rows,
     run,
     step,
     step_vfcr,
@@ -211,7 +214,7 @@ def test_spec_validation():
 
 def test_ring_shape_flag():
     # reference matrix has 1+Xbar below the diagonal: a general register
-    assert q61_spec().is_ring_shaped is False
+    assert has_subdiagonal_ones(q61_spec().matrix, 2) is False
     P = quadratic()
     ring = RegisterSpec(
         base="vectorial",
@@ -220,7 +223,7 @@ def test_ring_shape_flag():
         poly=P,
         matrix=(((0, 1), (1, 1)), ((1, 0), (0, 0))),
     )
-    assert ring.is_ring_shaped is True
+    assert has_subdiagonal_ones(ring.matrix, 2) is True
 
 
 def test_spec_serialization_round_trip():
@@ -268,6 +271,31 @@ def test_malformed_spec_errors():
         binary_spec("galois", [1, 2, 3])
     with pytest.raises(SpecError):
         binary_spec("ring", [[1, 0], [1, 2]])
+
+
+B = gf2n.binary_modulus()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: RegisterSpec(base="binary", mode="ring", r=1, poly=B, coeffs=((1,),)),
+     "ring mode takes a transition matrix"),
+    (lambda: RegisterSpec(base="binary", mode="fibonacci", r=1, poly=B, matrix=(((1,),),)),
+     "fibonacci mode takes connection coefficients"),
+    (lambda: RegisterSpec(base="binary", mode="galois", r=3, poly=B, coeffs=((1,), (1,))),
+     "need r connection coefficients"),
+    (lambda: RegisterSpec.from_dict({"base": "binary", "mode": "galois", "r": 1, "poly": "111",
+                                     "q": ["1"]}),
+     "binary specs use the degree-1 modulus"),
+    (lambda: gf2n.BinaryPolynomial((1,)), "degree must be at least 1"),
+    (lambda: factorize(0), "factorize needs n >= 1"),
+    (lambda: expand((((1,), (0,)),), B), "field matrix must be square"),
+    (lambda: run(q61_spec(), q61_spec().zero_state(), -1), "steps must be >= 0"),
+    (lambda: output_rows(q61_spec(), q61_spec().zero_state(), -1), "count must be >= 0"),
+    (lambda: det_adj_left([[1, 0], [0, 1]], [1]), "v of matching length"),
+])
+def test_malformed_arguments_are_refused(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_exhaustive_mode_embedding_small():

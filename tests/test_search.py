@@ -4,12 +4,13 @@ from golden_data import FAMILY_EXPECTED, Q61_FIELD_MATRIX
 from vfcr.analysis import connection_norm
 from vfcr.exactmath import is_primitive_root_2, is_probable_prime
 from vfcr.gf2n import BinaryPolynomial, quadratic
-from vfcr.registers import RegisterSpec
+from vfcr.registers import RegisterSpec, has_subdiagonal_ones
 from vfcr.search import (
     SearchBudgetExceeded,
     adic_length,
     check_triplet,
     enumerate_family,
+    _witness_achieves,
     find_l_sequence_matrices,
 )
 
@@ -81,6 +82,13 @@ def test_enumerate_rejects_unknown_family():
         enumerate_family("nope", 2)
 
 
+def test_witness_is_certified_for_its_own_norm_only():
+    spec = RegisterSpec(base="vectorial", mode="ring", r=2, poly=quadratic(), matrix=Q61_FIELD_MATRIX)
+    assert _witness_achieves(spec, 60)
+    # 59 is an l-norm too, but no cell of the q~ = 61 register has period 58
+    assert not _witness_achieves(spec, 58)
+
+
 def test_csv_rows_shape():
     rep = enumerate_family("binary-fcr", 2)
     rows = rep.csv_rows()
@@ -113,7 +121,7 @@ def test_find_matrices_quadratic_includes_reference():
 def test_find_matrices_ring_only():
     hits = find_l_sequence_matrices(3, count=5, seed=2, ring_only=True)
     for h in hits:
-        assert h["spec"].is_ring_shaped
+        assert has_subdiagonal_ones(h["spec"].matrix, h["spec"].n)
         assert is_probable_prime(h["q_tilde"])
 
 
