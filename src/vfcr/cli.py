@@ -99,7 +99,7 @@ def cmd_analyze(args) -> int:
 
 
 def _family_poly(args):
-    return gf2n.BinaryPolynomial.parse(args.poly) if args.poly else None
+    return gf2n.BinaryPolynomial.parse(args.poly) if args.poly is not None else None
 
 
 def cmd_enumerate(args) -> int:

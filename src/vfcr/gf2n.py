@@ -5,11 +5,15 @@ Xbar^(n-1)}, constant term first.  The lift of the modulus P keeps the
 signed coefficients it was constructed with, so X^2 - X - 1 and
 X^2 + X + 1 define the same field but different integer quotient rings
 (and therefore different norms).
+
+Both rings have one product routine, ``mult_matrix``; ``gf_mul`` is its
+product mod 2, and the checks on the modulus multiply through ``gf_mul``.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import mul
 
 from .exactmath import FactorBudgetExceeded, det_exact, factorize
 
@@ -18,78 +22,47 @@ class PolynomialError(ValueError):
     pass
 
 
-def _int_poly(bits) -> int:
-    """Pack F2 coefficients (constant first) into an int, bit k = coeff of X^k."""
-    v = 0
-    for k, b in enumerate(bits):
-        if b & 1:
-            v |= 1 << k
-    return v
+def _is_irreducible(P: BinaryPolynomial) -> bool:
+    """Rabin's test: P mod 2 is irreducible iff Xbar^(2^n) = Xbar and, for
+    each prime d | n, Xbar^(2^(n/d)) - Xbar is a unit of F2[X]/(P).
 
-
-def _gf2_mod(a: int, m: int) -> int:
-    dm = m.bit_length() - 1
-    while a.bit_length() - 1 >= dm and a:
-        a ^= m << (a.bit_length() - 1 - dm)
-    return a
-
-
-def _gf2_mulmod(a: int, b: int, m: int) -> int:
-    r = 0
-    while b:
-        if b & 1:
-            r ^= a
-        b >>= 1
-        a = _gf2_mod(a << 1, m)
-    return r
-
-
-def _gf2_powmod(a: int, e: int, m: int) -> int:
-    r = 1
-    while e:
-        if e & 1:
-            r = _gf2_mulmod(r, a, m)
-        e >>= 1
-        a = _gf2_mulmod(a, a, m)
-    return r
-
-
-def _gf2_gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, _gf2_mod(a, b)
-    return a
-
-
-def _is_irreducible(m: int) -> bool:
-    """Rabin's irreducibility test for a polynomial over F2 (int-encoded)."""
-    n = m.bit_length() - 1
+    N(e) mod 2 is the determinant of multiplication by e on F2[X]/(P), so
+    gcd(e, P) = 1 iff N(e) is odd.
+    """
+    n = P.n
     if n == 1:
         return True
-    x = 0b10
-    # X^(2^n) == X mod m
-    t = x
+    x = (0, 1) + (0,) * (n - 2)
+    frobenius = [x]  # Xbar^(2^k), k = 0 .. n
     for _ in range(n):
-        t = _gf2_mulmod(t, t, m)
-    if t != x:
+        frobenius.append(gf_mul(frobenius[-1], frobenius[-1], P))
+    if frobenius[n] != x:
         return False
-    for d in factorize(n):
-        t = x
-        for _ in range(n // d):
-            t = _gf2_mulmod(t, t, m)
-        if _gf2_gcd(t ^ x, m) != 1:
-            return False
-    return True
+    return all(norm(tuple(a ^ b for a, b in zip(frobenius[n // d], x)), P) & 1
+               for d in factorize(n))
+
+
+def _xbar_pow(e: int, P: BinaryPolynomial) -> tuple:
+    """Xbar^e in F2[X]/(P), n >= 2, by square-and-multiply through gf_mul."""
+    r, a = (1,) + (0,) * (P.n - 1), (0, 1) + (0,) * (P.n - 2)
+    while e:
+        if e & 1:
+            r = gf_mul(r, a, P)
+        e >>= 1
+        a = gf_mul(a, a, P)
+    return r
 
 
 class BinaryPolynomial:
     """Monic modulus with signed integer coefficients, irreducible mod 2.
 
     ``coeffs`` is the lift in Z[X] (constant term first, length n+1).
-    Reduction mod 2 must be irreducible with nonzero constant term.
+    Reduction mod 2 must be irreducible with nonzero constant term; Rabin's
+    test decides it through ``gf_mul``, with gcd(e, P) = 1 iff N(e) is odd.
     ``primitive`` is computed on access from the factorization of 2^n - 1.
     """
 
-    __slots__ = ("coeffs", "n", "_f2")
+    __slots__ = ("coeffs", "n")
 
     def __init__(self, coeffs):
         coeffs = tuple(int(c) for c in coeffs)
@@ -101,8 +74,7 @@ class BinaryPolynomial:
             raise PolynomialError("constant term must be odd")
         self.coeffs = coeffs
         self.n = len(coeffs) - 1
-        self._f2 = _int_poly(coeffs)
-        if not _is_irreducible(self._f2):
+        if not _is_irreducible(self):
             raise PolynomialError("modulus is reducible over F2")
 
     @classmethod
@@ -139,7 +111,8 @@ class BinaryPolynomial:
             primes = factorize(order)
         except FactorBudgetExceeded:
             return None
-        return all(_gf2_powmod(0b10, order // p, self._f2) != 1 for p in primes)
+        one = (1,) + (0,) * (self.n - 1)
+        return all(_xbar_pow(order // p, self) != one for p in primes)
 
     def __eq__(self, other):
         return isinstance(other, BinaryPolynomial) and self.coeffs == other.coeffs
@@ -173,8 +146,7 @@ def _check_len(v, P: BinaryPolynomial):
 def mul_lifted(a, b, P: BinaryPolynomial) -> tuple:
     """Product of two integer vectors in Z[X]/(P): a times the matrix of b."""
     _check_len(a, P)
-    rows = mult_matrix(b, P)
-    return tuple(sum(ai * row[k] for ai, row in zip(a, rows)) for k in range(P.n))
+    return tuple(sum(map(mul, a, col)) for col in zip(*mult_matrix(b, P)))
 
 
 def gf_mul(a, b, P: BinaryPolynomial) -> tuple:

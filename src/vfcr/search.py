@@ -179,6 +179,7 @@ def _spec(family: str, r: int, P, model):
 def enumerate_family(family: str, r: int, poly=None) -> FamilyReport:
     """Enumerate every model of a family; report norms and verified max periods.
 
+    binary-fcr runs over X - 1 and refuses a modulus (ValueError).
     Raises SearchBudgetExceeded up front for more than 2^MODEL_CAP_BITS models,
     or when 2^bits models times n^3 exceeds 2^NORM_WORK_CAP_BITS.
     """
@@ -186,6 +187,8 @@ def enumerate_family(family: str, r: int, poly=None) -> FamilyReport:
         raise ValueError("r must be >= 1")
     if family not in FAMILIES:
         raise ValueError(f"unsupported family {family!r}")
+    if family == "binary-fcr" and poly is not None:
+        raise ValueError("binary-fcr runs over X - 1 and takes no modulus")
     P = gf2n.binary_modulus() if family == "binary-fcr" else poly or gf2n.quadratic()
     bits = P.n * (r if family.startswith("vfcsr") else r * r)  # log2 of the model count
     if bits > MODEL_CAP_BITS:

@@ -296,6 +296,25 @@ def test_enumerate_over_the_model_cap_exits_3(capsys, family, r):
     assert "over the cap of 2^24" in captured.err
 
 
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        (["enumerate", "--family", "vfcr-q", "--r", "1", "--poly", ""],
+         "bit string must be nonempty over {0,1}"),
+        (["search", "--r", "2", "--poly", ""], "bit string must be nonempty over {0,1}"),
+        (["enumerate", "--family", "binary-fcr", "--r", "1", "--poly", "111"],
+         "binary-fcr runs over X - 1 and takes no modulus"),
+    ],
+)
+def test_refused_poly_exits_2(capsys, command, message):
+    # an empty --poly is no modulus rather than the default one, and
+    # binary-fcr always runs over X - 1
+    assert main(command) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_enumerate_over_the_norm_work_cap_exits_3(capsys):
     # X^18 + X^7 + 1 at r = 1: 2^18 models, each with its own 18 x 18 norm
     t0 = time.perf_counter()

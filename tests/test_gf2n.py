@@ -1,6 +1,9 @@
 import pytest
 from itertools import product
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from vfcr import gf2n
 from vfcr.exactmath import FactorBudgetExceeded
 from vfcr.gf2n import (
@@ -211,3 +214,53 @@ def test_signed_lift_changes_the_norm_form():
     for u in range(-3, 4):
         for v in range(-3, 4):
             assert norm((u, v), P) == u * u - u * v + v * v
+
+
+def f2_mod(a, m):
+    """Remainder of a by m in F2[X], bit k of an int the coefficient of X^k."""
+    while a and a.bit_length() >= m.bit_length():
+        a ^= m << (a.bit_length() - m.bit_length())
+    return a
+
+
+def oracle_modulus(bits):
+    """(irreducible, primitive) of a {0,1} modulus, constant term first.
+
+    Irreducible: no F2 divisor of degree 1 .. n/2.  Primitive: the order of
+    Xbar, found by multiplying by X until 1 comes back, is 2^n - 1.
+    """
+    m, n = int(bits[::-1], 2), len(bits) - 1
+    if any(f2_mod(m, f) == 0 for f in range(2, 1 << (n // 2 + 1))):
+        return False, None
+    t, order = f2_mod(0b10, m), 1
+    while t != 1:
+        t, order = f2_mod(t << 1, m), order + 1
+    return True, order == (1 << n) - 1
+
+
+def modulus_outcome(coeffs):
+    try:
+        P = BinaryPolynomial(coeffs)
+    except PolynomialError as exc:
+        return str(exc)
+    return P.primitive
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_modulus_checks_match_trial_division_and_the_order_of_xbar(n):
+    for tail in product("01", repeat=n - 1):
+        bits = "1" + "".join(tail) + "1"
+        irreducible, primitive = oracle_modulus(bits)
+        if irreducible:
+            assert BinaryPolynomial.from_bits(bits).primitive is primitive, bits
+        else:
+            with pytest.raises(PolynomialError, match="reducible over F2"):
+                BinaryPolynomial.from_bits(bits)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(-9, 9), min_size=1, max_size=9))
+def test_signed_lift_decides_as_its_reduction(low):
+    # the checks see only P mod 2, whatever lift the coefficients choose
+    lift = tuple(low) + (1,)
+    assert modulus_outcome(lift) == modulus_outcome(tuple(c & 1 for c in lift))
