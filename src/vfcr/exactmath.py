@@ -16,10 +16,15 @@ TRIAL_DIVISION_BOUND = 10**6
 _MR_DETERMINISTIC_LIMIT = 3317044064679887385961981
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _RANDOM_ROUNDS = 64  # error < 4^-64 = 2^-128
+_PRIME_TEST_SPAN = 3000  # factorize tests its cofactor for primality only with more d left
 
 
 class FactorBudgetExceeded(RuntimeError):
-    """Raised when a factorization does not complete within its step budget."""
+    """A factorization spent `steps` rho steps of its budget `limit` and did not complete."""
+
+    def __init__(self, message: str, steps: int | None = None, limit: int | None = None):
+        super().__init__(message)
+        self.steps, self.limit = steps, limit
 
 
 def _bareiss(rows, d: int) -> int:
@@ -120,25 +125,11 @@ def is_probable_prime(n: int) -> bool:
     return all(_miller_rabin(n, rng.randrange(2, n - 1)) for _ in range(_RANDOM_ROUNDS))
 
 
-def trial_division_factor(n: int):
-    """Strip prime factors up to TRIAL_DIVISION_BOUND; returns (sorted factor list, cofactor)."""
-    factors = []
-    for p in (2, 3):
-        while n % p == 0:
-            factors.append(p)
-            n //= p
-    d = 5
-    while d <= TRIAL_DIVISION_BOUND and d * d <= n:
-        for p in (d, d + 2):
-            while n % p == 0:
-                factors.append(p)
-                n //= p
-        d += 6
-    return factors, n
+def _pollard_rho(n: int, budget: int, rng: random.Random) -> tuple:
+    """One Brent-style rho run on odd n: (a nontrivial factor or None on budget, steps used).
 
-
-def _pollard_rho(n: int, budget: int, rng: random.Random) -> int | None:
-    """One Brent-style rho run on odd n; returns a nontrivial factor or None on budget."""
+    A step is one y -> y^2 + c of the batched product or of the backtrack.
+    """
     steps = 0
     while steps < budget:
         y = rng.randrange(1, n)
@@ -169,22 +160,35 @@ def _pollard_rho(n: int, budget: int, rng: random.Random) -> int | None:
                 if steps >= budget:
                     break
         if 1 < g < n:
-            return g
-    return None
+            return g, steps
+    return None, steps
 
 
 def factorize(n: int, rho_budget: int = DEFAULT_RHO_BUDGET) -> dict:
     """Full prime factorization of n >= 1, or FactorBudgetExceeded.
 
-    Trial division up to 10^6, then Pollard rho with a shared step budget.
-    A budget overrun raises; it never returns a wrong answer.
+    Trial division up to 10^6 ends early once the cofactor, which it would
+    never strip, is prime (tested where over _PRIME_TEST_SPAN of the range is
+    left).  Pollard rho splits the rest, all its runs sharing one budget of
+    rho_budget steps.  A budget overrun raises; it never returns a wrong answer.
     """
     if n < 1:
         raise ValueError("factorize needs n >= 1")
     out: dict[int, int] = {}
-    small, n = trial_division_factor(n)
-    for p in small:
-        out[p] = out.get(p, 0) + 1
+    d, strip = 5, (2, 3)
+    while True:
+        for p in strip:
+            while n % p == 0:
+                out[p] = out.get(p, 0) + 1
+                n //= p
+        stop = min(TRIAL_DIVISION_BOUND, math.isqrt(n))
+        if stop - d > _PRIME_TEST_SPAN and is_probable_prime(n):
+            return out | {n: 1}
+        while d <= stop and n % d and n % (d + 2):
+            d += 6
+        if d > stop:
+            break
+        strip, d = (d, d + 2), d + 6
     rng = None  # seeded on first use: most calls need no rho
     stack = [n] if n > 1 else []
     budget = rho_budget
@@ -194,9 +198,11 @@ def factorize(n: int, rho_budget: int = DEFAULT_RHO_BUDGET) -> dict:
             out[m] = out.get(m, 0) + 1
             continue
         rng = rng or random.Random(0xC0FFEE ^ (n % (2**64)))
-        f = _pollard_rho(m, budget, rng)
+        f, steps = _pollard_rho(m, budget, rng)
+        budget -= steps
         if f is None:
-            raise FactorBudgetExceeded(f"factorization budget exceeded on {m}")
+            raise FactorBudgetExceeded(f"factorization budget exceeded on {m}",
+                                       rho_budget - budget, rho_budget)
         stack.append(f)
         stack.append(m // f)
     return out
@@ -208,7 +214,7 @@ def multiplicative_order(base: int, q: int, rho_budget: int = DEFAULT_RHO_BUDGET
     The order divides Carmichael's lambda(q), the lcm of p^(e-1) (p - 1) over
     the prime powers p^e of q: start from lambda(q) and strip its prime
     factors while base^(t/p) = 1 (Cohen, A Course in Computational Algebraic
-    Number Theory, 1.4).  Every factorization runs within rho_budget.
+    Number Theory, 1.4).  Each factorization gets a budget of rho_budget.
     """
     if q <= 1 or q % 2 == 0:
         raise ValueError("modulus must be odd and > 1")
@@ -231,7 +237,12 @@ def multiplicative_order(base: int, q: int, rho_budget: int = DEFAULT_RHO_BUDGET
 
 
 def is_primitive_root_2(q: int, rho_budget: int = DEFAULT_RHO_BUDGET) -> bool:
-    """True iff 2 generates the multiplicative group mod the odd prime q."""
+    """True iff 2 generates the multiplicative group mod the odd prime q.
+
+    That is 2^((q-1)/f) != 1 for every prime f | q - 1 (Cohen, 1.4).  For f = 2, Euler's
+    criterion makes it q = 3 or 5 mod 8, so no other q needs q - 1 factored.
+    """
     if not is_probable_prime(q) or q == 2:
         raise ValueError("modulus must be an odd prime")
-    return multiplicative_order(2, q, rho_budget) == q - 1
+    return q % 8 in (3, 5) and all(pow(2, (q - 1) // f, q) != 1
+                                   for f in factorize(q - 1, rho_budget))

@@ -101,7 +101,10 @@ def _field_elements(n: int):
 
 
 def _is_l_norm(q: int, rho_budget: int) -> bool:
-    return q > 2 and is_probable_prime(q) and is_primitive_root_2(q, rho_budget)
+    try:
+        return is_primitive_root_2(q, rho_budget)
+    except ValueError:  # q is not an odd prime
+        return False
 
 
 def _witness_achieves(spec: RegisterSpec, target: int) -> bool:

@@ -163,6 +163,16 @@ def test_check_triplet_exit_codes(capsys):
     assert main(["check-triplet", "31", "5", "2"]) == 1  # 2 not primitive mod 31
 
 
+def test_check_triplet_refutes_a_residue_without_factoring(capsys):
+    # q = 1 mod 8, so 2 is a square mod q; q - 1 = 2^4 * 5 * 2476307 * 58555069
+    # cannot be split by one rho step
+    q, u, v = 11600026180014641, 100000110, 20000033
+    assert main(["check-triplet", str(q), str(u), str(v), "--budget", "1"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["form_ok"] and doc["prime"]
+    assert doc["primitive_root"] is False and doc["skip_reason"] is None
+
+
 def test_usage_errors(q61_spec_file, capsys):
     assert main([]) == 2
     assert main(["simulate"]) == 2

@@ -4,7 +4,9 @@ import random
 import pytest
 
 from golden_data import BIG_TRIPLET_Q
+from vfcr import exactmath
 from vfcr.exactmath import (
+    TRIAL_DIVISION_BOUND,
     FactorBudgetExceeded,
     det_adj_left,
     det_exact,
@@ -13,6 +15,7 @@ from vfcr.exactmath import (
     is_probable_prime,
     multiplicative_order,
 )
+from vfcr.search import _is_l_norm
 
 
 def cofactor_det(m):
@@ -166,3 +169,115 @@ def test_det_adj_left_rejects_singular():
     for a in ([[0]], [[1, 2], [2, 4]], [[0, 1, 0], [0, 0, 1], [0, 1, 1]]):
         with pytest.raises(ValueError):
             det_adj_left(a, [1] * len(a))
+
+
+def old_trial_division(n):
+    """Reference: trial division to the bound with no primality test; (factors, cofactor)."""
+    factors = []
+    for p in (2, 3):
+        while n % p == 0:
+            factors.append(p)
+            n //= p
+    d = 5
+    while d <= TRIAL_DIVISION_BOUND and d * d <= n:
+        for p in (d, d + 2):
+            while n % p == 0:
+                factors.append(p)
+                n //= p
+        d += 6
+    return factors, n
+
+
+def assert_trial_division_matches(n):
+    # With no rho budget, factorize returns the stripped primes plus a prime
+    # cofactor, or raises on the composite cofactor, which also seeds rho.
+    factors, cofactor = old_trial_division(n)
+    expected = {}
+    for p in factors:
+        expected[p] = expected.get(p, 0) + 1
+    try:
+        out = factorize(n, rho_budget=0)
+    except FactorBudgetExceeded as exc:
+        assert str(exc) == f"factorization budget exceeded on {cofactor}", n
+        assert not is_probable_prime(cofactor)
+        return
+    if cofactor > 1:
+        expected[cofactor] = 1
+    assert out == expected, n
+
+
+def test_trial_division_matches_the_old_loop_below_10_5():
+    for n in range(1, 10**5):
+        assert_trial_division_matches(n)
+
+
+def _primes_from(start, count, step=1):
+    out, p = [], start
+    while len(out) < count:
+        if is_probable_prime(p):
+            out.append(p)
+        p += step
+    return out
+
+
+def test_trial_division_matches_the_old_loop_on_large_inputs():
+    below, above = _primes_from(10**6, 3, -1), _primes_from(10**6, 3)  # 999961 ... 1000037
+    rng = random.Random(11)
+    big_primes = [p for p in (rng.randrange(10**12, 10**18) for _ in range(300))
+                  if is_probable_prime(p)] + [2**61 - 1, 2**89 - 1, 2**127 - 1]
+    cases = [a * b for a in below for b in above] + [below[0]**2, above[0]**2]
+    cases += [2**5 * 3 * below[0] * above[0], below[0] * above[0] * above[1]]
+    cases += [rng.randrange(1, 10**4) * p for p in big_primes]
+    # above 3.3e24, with a factor just below 10^6: prime and composite cofactors
+    cases += [below[0] * (2**89 - 1), below[1] * 12 * (2**127 - 1),
+              below[0] * below[1] * (2**61 - 1) * (2**31 - 1), below[2] * above[2] * 10**30]
+    for n in cases:
+        assert_trial_division_matches(n)
+
+
+def test_one_rho_budget_covers_the_whole_factorization(monkeypatch):
+    # three primes past trial division take two rho runs: 3327 and 4223 steps
+    primes = (10015351, 20004001, 30007267)
+    n = math.prod(primes)
+    budget = 4479
+    with pytest.raises(FactorBudgetExceeded) as exc:
+        factorize(n, rho_budget=budget)
+    assert exc.value.limit == budget
+    assert budget <= exc.value.steps < budget + 128  # rho checks its budget per batch
+    runs = []
+    rho = exactmath._pollard_rho
+
+    def spy(m, limit, rng):
+        f, steps = rho(m, limit, rng)
+        runs.append(steps)
+        return f, steps
+
+    monkeypatch.setattr(exactmath, "_pollard_rho", spy)
+    assert factorize(n) == dict.fromkeys(primes, 1)
+    assert len(runs) == 2 and max(runs) + 128 < budget < sum(runs)
+
+
+def order_is_q_minus_1(q):
+    """Reference for an l-norm: q is an odd prime and 2 has order q - 1 mod q."""
+    return q > 2 and is_probable_prime(q) and multiplicative_order(2, q) == q - 1
+
+
+def test_primitive_root_2_matches_the_order_below_2_10_5():
+    for q in range(2 * 10**5):
+        expected = order_is_q_minus_1(q)
+        assert _is_l_norm(q, exactmath.DEFAULT_RHO_BUDGET) == expected, q
+        if q > 2 and is_probable_prime(q):
+            assert is_primitive_root_2(q) == expected, q
+
+
+def test_primitive_root_2_matches_the_order_on_large_primes():
+    rng = random.Random(5)
+    primes = [p for p in (rng.randrange(2**20, 2**64) | 1 for _ in range(1000))
+              if is_probable_prime(p)]
+    assert {p % 8 for p in primes} == {1, 3, 5, 7}
+    answers = set()
+    for q in primes:
+        expected = order_is_q_minus_1(q)
+        assert is_primitive_root_2(q) == _is_l_norm(q, exactmath.DEFAULT_RHO_BUDGET) == expected, q
+        answers.add(expected)
+    assert answers == {False, True}
