@@ -162,13 +162,9 @@ def check_containment(mem_rows, w):
     report = []
     for row, wj in zip(mem_rows, w):
         hi = wj if wj > 0 else 1
-        inside = [0 <= x < hi for x in row]
         entry = len(row)
-        for t in range(len(row) - 1, -1, -1):
-            if inside[t]:
-                entry = t
-            else:
-                break
+        while entry and 0 <= row[entry - 1] < hi:
+            entry -= 1
         report.append(
             {
                 "weight": wj,

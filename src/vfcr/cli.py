@@ -147,6 +147,12 @@ def cmd_check_triplet(args) -> int:
     return EXIT_CHECK_FAILED
 
 
+def budget(text: str) -> int:
+    if int(text) < 0:
+        raise argparse.ArgumentTypeError(f"budget must be an integer >= 0, got {text}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vfcr",
@@ -165,7 +171,8 @@ def build_parser() -> argparse.ArgumentParser:
     ana.add_argument("--spec", required=True)
     ana.add_argument("--init")
     ana.add_argument("--reconstruct", action="store_true", help="per-cell rationals")
-    ana.add_argument("--budget", type=int, default=DEFAULT_RHO_BUDGET, help="Pollard rho step budget")
+    ana.add_argument("--budget", type=budget, default=DEFAULT_RHO_BUDGET,
+                     help="Pollard rho step budget")
     ana.set_defaults(func=cmd_analyze)
 
     enu = sub.add_parser("enumerate", help="enumerate a register family")
@@ -180,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     sea.add_argument("--poly", help="modulus (default: binary)")
     sea.add_argument("--count", type=int, default=1)
     sea.add_argument("--seed", type=int, default=0)
-    sea.add_argument("--budget", type=int, default=DEFAULT_RHO_BUDGET)
+    sea.add_argument("--budget", type=budget, default=DEFAULT_RHO_BUDGET)
     sea.add_argument("--ring-only", action="store_true", help="require subdiagonal ones")
     sea.set_defaults(func=cmd_search)
 
@@ -188,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     chk.add_argument("q_tilde", type=int)
     chk.add_argument("u", type=int)
     chk.add_argument("v", type=int)
-    chk.add_argument("--budget", type=int, default=DEFAULT_RHO_BUDGET)
+    chk.add_argument("--budget", type=budget, default=DEFAULT_RHO_BUDGET)
     chk.set_defaults(func=cmd_check_triplet)
 
     return parser
@@ -205,7 +212,7 @@ def main(argv=None) -> int:
     except (SearchBudgetExceeded, StepBudgetExceeded, FactorBudgetExceeded) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (SpecError, gf2n.PolynomialError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:  # SpecError, PolynomialError, JSONDecodeError too
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except AssertionError as exc:

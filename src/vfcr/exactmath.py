@@ -94,8 +94,6 @@ def det_adj_left(matrix, v) -> tuple:
 
 
 def _miller_rabin(n: int, base: int) -> bool:
-    if base % n == 0:
-        return True
     d = n - 1
     r = 0
     while d % 2 == 0:
@@ -224,7 +222,7 @@ def multiplicative_order(base: int, q: int, rho_budget: int = DEFAULT_RHO_BUDGET
     if base == 1:
         return 1
     lam = {}  # prime -> exponent in lambda(q)
-    for p, e in ({q: 1} if is_probable_prime(q) else factorize(q, rho_budget)).items():
+    for p, e in factorize(q, rho_budget).items():
         for f, k in factorize(p - 1, rho_budget).items():
             lam[f] = max(lam.get(f, 0), k)
         if e > 1:

@@ -12,6 +12,7 @@ product mod 2, and the checks on the modulus multiply through ``gf_mul``.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import mul
 
@@ -53,6 +54,7 @@ def _xbar_pow(e: int, P: BinaryPolynomial) -> tuple:
     return r
 
 
+@dataclass(frozen=True)
 class BinaryPolynomial:
     """Monic modulus with signed integer coefficients, irreducible mod 2.
 
@@ -62,18 +64,19 @@ class BinaryPolynomial:
     ``primitive`` is computed on access from the factorization of 2^n - 1.
     """
 
-    __slots__ = ("coeffs", "n")
+    coeffs: tuple
+    n: int = field(init=False, repr=False, compare=False)
 
-    def __init__(self, coeffs):
-        coeffs = tuple(int(c) for c in coeffs)
+    def __post_init__(self):
+        coeffs = tuple(int(c) for c in self.coeffs)
         if len(coeffs) < 2:
             raise PolynomialError("degree must be at least 1")
         if coeffs[-1] != 1:
             raise PolynomialError("modulus must be monic")
         if coeffs[0] % 2 == 0:
             raise PolynomialError("constant term must be odd")
-        self.coeffs = coeffs
-        self.n = len(coeffs) - 1
+        object.__setattr__(self, "coeffs", coeffs)
+        object.__setattr__(self, "n", len(coeffs) - 1)
         if not _is_irreducible(self):
             raise PolynomialError("modulus is reducible over F2")
 
@@ -94,7 +97,7 @@ class BinaryPolynomial:
 
     def bits(self) -> str:
         """F2 reduction as a bit string, constant term first."""
-        return "".join(str(c & 1) for c in self.coeffs)
+        return elem_to_bits(self.coeffs)
 
     def lift_text(self) -> str:
         """Signed coefficients as comma-separated text (round-trips parse)."""
@@ -113,15 +116,6 @@ class BinaryPolynomial:
             return None
         one = (1,) + (0,) * (self.n - 1)
         return all(_xbar_pow(order // p, self) != one for p in primes)
-
-    def __eq__(self, other):
-        return isinstance(other, BinaryPolynomial) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __repr__(self):
-        return f"BinaryPolynomial({self.coeffs})"
 
 
 # The quadratic modulus used throughout: X^2 - X - 1, whose quotient ring

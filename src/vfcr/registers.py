@@ -143,7 +143,7 @@ class RegisterSpec:
 
     def to_dict(self):
         d = {"base": self.base, "mode": self.mode, "r": self.r}
-        d["poly"] = self.poly.bits() if _is_canonical_lift(self.poly) else self.poly.lift_text()
+        d["poly"] = self.poly.bits() if set(self.poly.coeffs) <= {0, 1} else self.poly.lift_text()
         if self.mode == RING:
             d["T"] = [[gf2n.elem_to_bits(e) for e in row] for row in self.matrix]
         else:
@@ -203,10 +203,6 @@ def _elem(e, n: int) -> tuple:
     if len(e) != n or any(b not in (0, 1) for b in e):
         raise SpecError(f"field elements need {n} entries over {{0, 1}}, got {e!r}")
     return tuple(map(int, e))
-
-
-def _is_canonical_lift(poly: BinaryPolynomial) -> bool:
-    return all(c in (0, 1) for c in poly.coeffs)
 
 
 def has_subdiagonal_ones(field_matrix, n: int) -> bool:

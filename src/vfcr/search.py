@@ -10,7 +10,7 @@ the witness's own |det(I - 2B)| must equal q~ (see _witness_achieves).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import combinations, product
 from operator import add
 
@@ -48,12 +48,9 @@ class FamilyReport:
         """Rows family,r,n,q_tilde,max_period,witness_spec (deterministic order)."""
         rows = []
         for q in self.q_values:
-            if q in self.witnesses:
-                rows.append(
-                    (self.family, self.r, self.n, q, q - 1, self.witnesses[q].to_json())
-                )
-            else:
-                rows.append((self.family, self.r, self.n, q, "", ""))
+            w = self.witnesses.get(q)
+            tail = (q - 1, w.to_json()) if w is not None else ("", "")
+            rows.append((self.family, self.r, self.n, q) + tail)
         return rows
 
 
@@ -75,18 +72,10 @@ class TripletReport:
         return self.form_ok and self.prime and self.primitive_root is True
 
     def to_dict(self):
-        return {
-            "q_tilde": str(self.q_tilde),
-            "u": str(self.u),
-            "v": str(self.v),
-            "form_value": str(self.form_value),
-            "form_ok": self.form_ok,
-            "prime": self.prime,
-            "primitive_root": self.primitive_root,
-            "skip_reason": self.skip_reason,
-            "l_q": self.l_q,
-            "l_uv": self.l_uv,
-        }
+        d = asdict(self)
+        for k in ("q_tilde", "u", "v", "form_value"):
+            d[k] = str(d[k])
+        return d
 
 
 def adic_length(x: int) -> int:
@@ -200,15 +189,12 @@ def enumerate_family(family: str, r: int, poly=None) -> FamilyReport:
     if P.n**3 << bits > 1 << NORM_WORK_CAP_BITS:
         raise SearchBudgetExceeded(f"{family} with r = {r}, n = {P.n} has 2^{bits} models times"
                                    f" n^3 = {P.n**3}, over the cap of 2^{NORM_WORK_CAP_BITS}")
-    q_values = set()
-    l_candidates = set()  # l-norms; each enters l_norms with its first live model
+    verdicts = {}  # q~ -> is it an l-norm; each l-norm enters l_norms with its first live model
     l_norms = {}  # q~ -> witness spec
     for q_tilde, model in _models(family, r, P):
-        if q_tilde not in q_values:
-            q_values.add(q_tilde)
-            if _is_l_norm(q_tilde, DEFAULT_RHO_BUDGET):
-                l_candidates.add(q_tilde)
-        if q_tilde in l_candidates and q_tilde not in l_norms:
+        if q_tilde not in verdicts:
+            verdicts[q_tilde] = _is_l_norm(q_tilde, DEFAULT_RHO_BUDGET)
+        if verdicts[q_tilde] and q_tilde not in l_norms:
             spec = _spec(family, r, P, model)
             if spec is not None:  # a degenerate model (q_r = 0) has no register
                 l_norms[q_tilde] = spec
@@ -220,7 +206,7 @@ def enumerate_family(family: str, r: int, poly=None) -> FamilyReport:
         r=r,
         n=P.n,
         model_count=1 << bits,
-        q_values=tuple(sorted(q_values)),
+        q_values=tuple(sorted(verdicts)),
         max_periods=tuple(sorted(q - 1 for q in l_norms)),
         witnesses=dict(sorted(l_norms.items())),
     )
@@ -246,17 +232,9 @@ def find_l_sequence_matrices(
         raise ValueError("count must be >= 1")
     P = poly or gf2n.binary_modulus()
     n = P.n
-    cells = r * r
-    space = 1 << (n * cells)
+    space = 1 << (n * r * r)
     rng = random.Random(seed)
     elems = _field_elements(n)
-
-    def decode(code):
-        flat = []
-        for k in range(cells):
-            flat.append(elems[(code >> (k * n)) & ((1 << n) - 1)])
-        return tuple(tuple(flat[i * r + j] for j in range(r)) for i in range(r))
-
     if space <= 1 << 16:
         codes = list(range(space))
         rng.shuffle(codes)
@@ -269,7 +247,8 @@ def find_l_sequence_matrices(
         if code in seen:
             continue
         seen.add(code)
-        mat = decode(code)
+        mat = tuple(tuple(elems[(code >> ((i * r + j) * n)) & ((1 << n) - 1)] for j in range(r))
+                    for i in range(r))
         if ring_only and not registers.has_subdiagonal_ones(mat, n):
             continue
         big = registers.expand(mat, P)

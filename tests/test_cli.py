@@ -96,6 +96,16 @@ def test_simulate_zero_steps(q61_spec_file, capsys):
     assert [line.split()[0] for line in lines] == ["a0^0", "a1^0", "a0^1", "a1^1"]
 
 
+def test_simulate_zero_steps_structured(q61_spec_file, capsys):
+    # rn empty bit rows; the memory trace has no rows at all
+    rc = main(["simulate", "--spec", q61_spec_file, "--steps", "0", "--format", "structured"])
+    assert rc == 0
+    assert capsys.readouterr().out == (
+        '{"bits": [[], [], [], []], "memory": [], "spec": {"T": [["01", "01"], ["11", "00"]],'
+        ' "base": "vectorial", "mode": "ring", "poly": "-1,-1,1", "r": 2}, "steps": 0}\n'
+    )
+
+
 def test_simulate_negative_steps(q61_spec_file, capsys):
     assert main(["simulate", "--spec", q61_spec_file, "--steps", "-1"]) == 2
 
@@ -171,6 +181,21 @@ def test_check_triplet_refutes_a_residue_without_factoring(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["form_ok"] and doc["prime"]
     assert doc["primitive_root"] is False and doc["skip_reason"] is None
+
+
+@pytest.mark.parametrize("command", [
+    ["check-triplet", "11", "3", "2", "--budget", "-5"],
+    ["search", "--r", "3", "--budget", "-1"],
+    ["analyze", "--spec", "{spec}", "--budget", "-1"],
+])
+def test_negative_budget_exits_2(q61_spec_file, capsys, command):
+    argv = [q61_spec_file if a == "{spec}" else a for a in command]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "budget must be an integer >= 0" in captured.err
+    argv[-1] = "0"  # a zero budget stays legal
+    assert main(argv) == 0
 
 
 def test_usage_errors(q61_spec_file, capsys):

@@ -16,6 +16,7 @@ from vfcr.gf2n import (
     norm,
     quadratic,
 )
+from vfcr.registers import RegisterSpec
 
 CUBIC = BinaryPolynomial.from_bits("1101")  # X^3 + X + 1, canonical lift
 LIFTS = ("11", "111", "-1,-1,1", "1101", "-1,1,0,1")
@@ -206,6 +207,25 @@ def test_parse_round_trip():
     assert BinaryPolynomial.parse(Q.lift_text()) == Q
     with pytest.raises(PolynomialError):
         BinaryPolynomial.parse("10a")
+
+
+def test_polynomial_compares_and_hashes_by_its_lift():
+    P, Q = BinaryPolynomial.parse("111"), BinaryPolynomial([True, 1, 1])
+    assert P == Q and hash(P) == hash(Q) and len({P, Q}) == 1
+    signed = BinaryPolynomial.parse("-1,-1,1")
+    assert signed.bits() == P.bits() and signed != P  # same field, different lift
+    specs = [RegisterSpec(base="vectorial", mode="ring", r=1, poly=poly, matrix=[[(0, 1)]])
+             for poly in (signed, quadratic())]
+    assert hash(specs[0]) == hash(specs[1]) and len(set(specs)) == 1
+
+
+def test_polynomial_fields_are_frozen():
+    P = BinaryPolynomial.parse("111")
+    with pytest.raises(AttributeError):
+        P.coeffs = (1, 0, 1)
+    with pytest.raises(AttributeError):
+        P.n = 3
+    assert P.coeffs == (1, 1, 1) and P.n == 2
 
 
 def test_signed_lift_changes_the_norm_form():

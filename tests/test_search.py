@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from golden_data import FAMILY_EXPECTED, Q61_FIELD_MATRIX
@@ -6,6 +8,7 @@ from vfcr.exactmath import is_primitive_root_2, is_probable_prime
 from vfcr.gf2n import BinaryPolynomial, quadratic
 from vfcr.registers import RegisterSpec, has_subdiagonal_ones
 from vfcr.search import (
+    MAX_DRAWS,
     SearchBudgetExceeded,
     adic_length,
     check_triplet,
@@ -129,6 +132,17 @@ def test_find_matrices_budget_exhausted():
     # the only admissible 1x1 binary ring matrix gives q~ = 1: never a hit
     with pytest.raises(SearchBudgetExceeded):
         find_l_sequence_matrices(1, count=1, seed=0, ring_only=True)
+
+
+def test_sampled_search_skips_repeated_draws():
+    # r = 3 over X^2 - X - 1 has 2^18 codes, so the search samples; with a count
+    # it cannot reach, all MAX_DRAWS draws run, and some of them repeat
+    rng = random.Random(0)
+    draws = [rng.randrange(1 << 18) for _ in range(MAX_DRAWS)]
+    assert len(set(draws)) < MAX_DRAWS
+    hits = find_l_sequence_matrices(3, poly=quadratic(), count=MAX_DRAWS + 1, seed=0)
+    assert 0 < len(hits) <= len(set(draws))
+    assert len({h["spec"].matrix for h in hits}) == len(hits)
 
 
 def test_find_matrices_rejects_bad_count():
