@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 from itertools import combinations, product
 from operator import add
 
@@ -67,10 +68,6 @@ class TripletReport:
     l_q: int
     l_uv: int
 
-    @property
-    def valid(self) -> bool:
-        return self.form_ok and self.prime and self.primitive_root is True
-
     def to_dict(self):
         d = asdict(self)
         for k in ("q_tilde", "u", "v", "form_value"):
@@ -90,10 +87,33 @@ def _field_elements(n: int):
 
 
 def _is_l_norm(q: int, rho_budget: int) -> bool:
-    try:
-        return is_primitive_root_2(q, rho_budget)
+    try:  # Euler's criterion: 2 is a square mod a prime q = +-1 mod 8
+        return q % 8 in (3, 5) and is_primitive_root_2(q, rho_budget)
     except ValueError:  # q is not an odd prime
         return False
+
+
+def _det_mod8(elems, P):
+    """residue(cells) = det(I - 2B) mod 8 for B = expand(T, P), T_ij = elems[cells[i][j]].
+
+    Mod 8, det(I - 2B) = 1 - 2 e_1 + 4 e_2 over the elementary symmetric functions of
+    B's eigenvalues, with e_1 = tr B and 2 e_2 = tr(B)^2 - tr(B^2) (Newton).  tr B sums
+    tr M(T_ii) and tr(B^2) sums tr(M(T_ij) M(T_ji)), each kept per pair of element codes.
+    """
+    one = elems.index((1,) + (0,) * (P.n - 1))  # M(1) = I, so tr M(c) = trace(c, one)
+    block = lru_cache(maxsize=None)(lambda c: gf2n.mult_matrix(elems[c], P))
+
+    @lru_cache(maxsize=None)
+    def trace(a, b):  # tr(M(a) M(b))
+        return sum(x * y for row, col in zip(block(a), zip(*block(b))) for x, y in zip(row, col))
+
+    def residue(cells):
+        idx = range(len(cells))
+        t1 = sum(trace(cells[i][i], one) for i in idx)
+        t2 = sum(trace(cells[i][j], cells[j][i]) for i in idx for j in idx)
+        return (1 - 2 * t1 + 2 * (t1 * t1 - t2)) % 8
+
+    return residue
 
 
 def _witness_achieves(spec: RegisterSpec, target: int) -> bool:
@@ -121,12 +141,13 @@ def _matrix_norms(r: int, P):
     rows = list(product(_field_elements(n), repeat=r))  # the choices of one row
     norms = {}  # q -> q~, for this call only
 
+    @lru_cache(maxsize=None)  # for this call only: few distinct minors recur
     def products(v, sign, diag):
         """sign (diag - 2 T_kj) v for each field element T_kj, in row order."""
         sums = [(0,) * n]
         for x in gf2n.mult_matrix(v, P):  # row i is Xbar^i v
             sums = [s for t in sums for s in (t, tuple(map(add, t, x)))]
-        return [tuple(sign * (a * diag - 2 * b) for a, b in zip(v, p)) for p in sums]
+        return tuple(tuple(sign * (a * diag - 2 * b) for a, b in zip(v, p)) for p in sums)
 
     def walk(k, top, minors):
         # minor on columns S = sum over t of (-1)^(k+t) (I - 2T)_{k,S[t]} minor(S - S[t])
@@ -235,6 +256,7 @@ def find_l_sequence_matrices(
     space = 1 << (n * r * r)
     rng = random.Random(seed)
     elems = _field_elements(n)
+    residue = _det_mod8(elems, P)
     if space <= 1 << 16:
         codes = list(range(space))
         rng.shuffle(codes)
@@ -247,9 +269,11 @@ def find_l_sequence_matrices(
         if code in seen:
             continue
         seen.add(code)
-        mat = tuple(tuple(elems[(code >> ((i * r + j) * n)) & ((1 << n) - 1)] for j in range(r))
-                    for i in range(r))
+        cells = [[(code >> ((i * r + j) * n)) & ((1 << n) - 1) for j in range(r)] for i in range(r)]
+        mat = tuple(tuple(elems[c] for c in row) for row in cells)
         if ring_only and not registers.has_subdiagonal_ones(mat, n):
+            continue
+        if residue(cells) not in (3, 5):  # q~ = +-1 mod 8 is no l-norm (_is_l_norm)
             continue
         big = registers.expand(mat, P)
         _, q_tilde = ring_connection_norm(big)

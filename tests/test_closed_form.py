@@ -201,12 +201,29 @@ def brute_force_witness(spec, target):
     return False
 
 
+def is_small_l_norm(q_tilde):
+    return 2 < q_tilde < 2000 and is_probable_prime(q_tilde) and is_primitive_root_2(q_tilde)
+
+
+@st.composite
+def small_l_norm_registers(draw, tries=10):
+    """registers(min_rn=2, max_rn=6), redrawn up to `tries` times until q~ is a small l-norm.
+
+    About one register in nine meets it, too few for the filter health check.
+    """
+    for _ in range(tries):
+        spec, init = draw(registers(min_rn=2, max_rn=6))  # one binary cell has q~ <= 1
+        if is_small_l_norm(abs(det_exact(identity_minus_2t(spec.big_matrix())))):
+            break
+    return spec, init
+
+
 @settings(max_examples=60, deadline=None)
-@given(registers(min_rn=2, max_rn=6))  # one binary cell has q~ <= 1
+@given(small_l_norm_registers())
 def test_witness_check_matches_brute_force(reg):
     spec, _ = reg
     q_tilde = abs(det_exact(identity_minus_2t(spec.big_matrix())))
-    assume(2 < q_tilde < 2000 and is_probable_prime(q_tilde) and is_primitive_root_2(q_tilde))
+    assume(is_small_l_norm(q_tilde))
     assert _witness_achieves(spec, q_tilde - 1) == brute_force_witness(spec, q_tilde - 1)
 
 

@@ -32,16 +32,16 @@ def test_adic_length():
 def test_check_triplet_valid():
     rep = check_triplet(11, 3, 2)
     assert rep.form_ok and rep.prime and rep.primitive_root is True
-    assert rep.valid
     assert (rep.l_q, rep.l_uv) == (3, 1)
 
 
 def test_check_triplet_bad_form():
     rep = check_triplet(121421, 351, 332)
     assert rep.form_value == 129509
-    assert not rep.form_ok and not rep.valid
+    assert not rep.form_ok
     # the unique repair keeping u fixed
-    assert check_triplet(121421, 351, 356).valid
+    fixed = check_triplet(121421, 351, 356)
+    assert fixed.form_ok and fixed.prime and fixed.primitive_root is True
 
 
 def test_check_triplet_composite():
@@ -55,7 +55,6 @@ def test_check_triplet_non_primitive():
     rep = check_triplet(31, 5, 2)  # prime, but ord_31(2) = 5
     assert rep.form_ok and rep.prime
     assert rep.primitive_root is False
-    assert not rep.valid
 
 
 def test_check_triplet_rejects_negative():
