@@ -281,6 +281,105 @@ def test_analyze_order_over_the_factor_budget_is_unavailable(tmp_path, capsys, b
         assert "order_unavailable" not in doc
 
 
+# analyze's whole document, frozen: every field, its key and its decimal form
+ANALYZE_DOCUMENTS = [
+    pytest.param(
+        Q61_SPEC, [],
+        (
+            '{"det_i_minus_2t": "-61", "feedback_corner": "01", "order": "60", "q_tilde": "61", '
+            '"spec": {"T": [["01", "01"], ["11", "00"]], "base": "vectorial", "mode": "ring", '
+            '"poly": "-1,-1,1", "r": 2}, "weights": ["3", "5", "1", "2"]}'
+        ),
+        id="q61",
+    ),
+    pytest.param(
+        Q61_SPEC, ["--init", q61_init(), "--reconstruct"],
+        (
+            '{"det_i_minus_2t": "-61", "feedback_corner": "01", "order": "60", "period": "60", '
+            '"preperiod": "2", "q_tilde": "61", "rationals": [{"p": "-19", "q": "61"}, '
+            '{"p": "-37", "q": "61"}, {"p": "-13", "q": "61"}, {"p": "10", "q": "61"}], '
+            '"spec": {"T": [["01", "01"], ["11", "00"]], "base": "vectorial", "mode": "ring", '
+            '"poly": "-1,-1,1", "r": 2}, "weights": ["3", "5", "1", "2"]}'
+        ),
+        id="q61-reconstruct",
+    ),
+    pytest.param(
+        {"base": "vectorial", "mode": "fibonacci", "r": 2, "poly": "111", "q": ["10", "11"]},
+        ["--init", '{"a": [1, 0, 0, 1], "m": [1, 0]}', "--reconstruct"],
+        (
+            '{"connection_integer": ["5", "4"], "connection_matrix": [["-5", "-4"], ["4", "-1"]], '
+            '"connection_vector": ["6", "4"], "det_i_minus_2t": "21", "order": "6", "period": "6", '
+            '"preperiod": "2", "q_tilde": "21", "rationals": [{"p": "-11", "q": "21"}, {"p": "2", '
+            '"q": "21"}, {"p": "-16", "q": "21"}, {"p": "1", "q": "21"}], '
+            '"spec": {"base": "vectorial", "mode": "fibonacci", "poly": "111", "q": ["10", "11"], '
+            '"r": 2}, "weights": ["1", "1", "1", "2"]}'
+        ),
+        id="fibonacci-reconstruct",
+    ),
+    pytest.param(
+        {"base": "vectorial", "mode": "galois", "r": 3, "poly": "1101", "q": ["010", "001", "101"]},
+        ["--init", '{"a": [1, 0, 1, 0, 0, 1, 1, 1, 0], "m": [0, 1, 0, 0, 0, 0, 2, 0, 1]}',
+         "--reconstruct"],
+        (
+            '{"connection_integer": ["7", "2", "12"], "connection_matrix": [["1", "0", "2", "-2", '
+            '"0", "0", "0", "0", "0"], ["-2", "1", "2", "0", "-2", "0", "0", "0", "0"], ["0", '
+            '"-2", "1", "0", "0", "-2", "0", "0", "0"], ["0", "2", "0", "1", "0", "0", "-2", "0", '
+            '"0"], ["0", "2", "2", "0", "1", "0", "0", "-2", "0"], ["-2", "0", "2", "0", "0", "1", '
+            '"0", "0", "-2"], ["-2", "2", "0", "0", "0", "0", "1", "0", "0"], ["0", "0", "2", "0", '
+            '"0", "0", "0", "1", "0"], ["-2", "0", "0", "0", "0", "0", "0", "0", "1"]], '
+            '"connection_vector": ["8", "2", "12"], "det_i_minus_2t": "-2139", "order": "110", '
+            '"period": "110", "preperiod": "4", "q_tilde": "2139", "rationals": [{"p": "-2467", '
+            '"q": "2139"}, {"p": "2350", "q": "2139"}, {"p": "-275", "q": "2139"}, {"p": "-2578", '
+            '"q": "2139"}, {"p": "1228", "q": "2139"}, {"p": "-3557", "q": "2139"}, {"p": "1061", '
+            '"q": "2139"}, {"p": "2689", "q": "2139"}, {"p": "-656", "q": "2139"}], '
+            '"spec": {"base": "vectorial", "mode": "galois", "poly": "1101", "q": ["010", "001", '
+            '"101"], "r": 3}, "weights": ["0", "1", "2", "0", "-1", "1", "0", "-1", "1"]}'
+        ),
+        id="galois-reconstruct",
+    ),
+    pytest.param(
+        binary_spec("galois", [1, 0, 1]).to_dict(), [],
+        (
+            '{"connection_integer": ["9"], "connection_matrix": [["-1", "-2", "0"], ["0", "1", '
+            '"-2"], ["-2", "0", "1"]], "connection_vector": ["10"], "det_i_minus_2t": "-9", '
+            '"order": "6", "q_tilde": "9", "spec": {"base": "binary", "mode": "galois", '
+            '"poly": "-1,1", "q": ["1", "0", "1"], "r": 3}, "weights": ["2", "1", "1"]}'
+        ),
+        id="binary",
+    ),
+    pytest.param(
+        {"base": "vectorial", "mode": "fibonacci", "r": 5, "poly": "110110001",
+         "q": ["11001111", "11111111", "01110001", "11010111", "00010000"]},
+        ["--budget", "1"],
+        (
+            '{"connection_integer": ["21", "30", "12", "60", "6", "22", "22", "30"], '
+            '"connection_matrix": [["-21", "-30", "-12", "-60", "-6", "-22", "-22", "-30"], ["30", '
+            '"9", "-30", "18", "-30", "-6", "-22", "-22"], ["22", "52", "9", "-8", "40", "-30", '
+            '"-6", "-22"], ["22", "44", "52", "31", "14", "40", "-30", "-6"], ["6", "28", "44", '
+            '"58", "37", "14", "40", "-30"], ["30", "36", "28", "74", "88", "37", "14", "40"], '
+            '["-40", "-10", "36", "-12", "34", "88", "37", "14"], ["-14", "-54", "-10", "22", '
+            '"-26", "34", "88", "37"]], "connection_vector": ["22", "30", "12", "60", "6", "22", '
+            '"22", "30"], "det_i_minus_2t": "175821365464573", "order": "unavailable", '
+            '"order_unavailable": "factorization budget exceeded on 175821365464573", '
+            '"q_tilde": "175821365464573", "spec": {"base": "vectorial", "mode": "fibonacci", '
+            '"poly": "110110001", "q": ["11001111", "11111111", "01110001", "11010111", '
+            '"00010000"], "r": 5}, "weights": ["1", "1", "1", "1", "1", "1", "1", "1", "1", "1", '
+            '"1", "1", "1", "1", "1", "1", "1", "1", "1", "1", "1", "1", "1", "1", "1", "1", "1", '
+            '"1", "1", "1", "1", "1", "-2", "-5", "-10", "-16", "-19", "-18", "-14", "-1"]}'
+        ),
+        id="order-unavailable",
+    ),
+]
+
+
+@pytest.mark.parametrize("spec, args, expected", ANALYZE_DOCUMENTS)
+def test_analyze_prints_the_frozen_document(tmp_path, capsys, spec, args, expected):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert main(["analyze", "--spec", str(path)] + args) == 0
+    assert capsys.readouterr().out == expected + "\n"
+
+
 @pytest.mark.parametrize(
     "spec_change, init",
     [

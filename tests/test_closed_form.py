@@ -168,6 +168,21 @@ def test_analyze_reconstruct_matches_cycle_walk(reg):
     assert report.rationals == [sequence_to_rational(row, s, t) for row in bits]
 
 
+@settings(max_examples=200, deadline=None)
+@given(registers(), st.integers(1, 200))
+def test_detect_cycle_returns_within_its_budget(reg, max_steps):
+    # Brent's first loop ends with the tortoise at step index steps - period,
+    # at or past the preperiod, so preperiod + period <= steps <= max_steps
+    spec, init = reg
+    try:
+        s, t = detect_cycle(spec, init, max_steps=max_steps)
+    except StepBudgetExceeded:
+        return
+    assert s + t <= max_steps
+    report = analyze(spec, init, reconstruct=True)
+    assert (report.preperiod, report.period) == (s, t)
+
+
 @settings(max_examples=150, deadline=None)
 @given(registers())
 def test_analyze_determinant_matches_bareiss(reg):

@@ -228,6 +228,9 @@ def test_trial_division_matches_the_old_loop_on_large_inputs():
     cases = [a * b for a in below for b in above] + [below[0]**2, above[0]**2]
     cases += [2**5 * 3 * below[0] * above[0], below[0] * above[0] * above[1]]
     cases += [rng.randrange(1, 10**4) * p for p in big_primes]
+    # primes up to 9e6, where trial division could run to the square root
+    mid = [1_000_003, 5_000_011] + _primes_from(9 * 10**6, 1, -1)  # 8999993
+    cases += mid + [2**5 * 3 * p for p in mid] + [mid[0] * mid[1]]
     # above 3.3e24, with a factor just below 10^6: prime and composite cofactors
     cases += [below[0] * (2**89 - 1), below[1] * 12 * (2**127 - 1),
               below[0] * below[1] * (2**61 - 1) * (2**31 - 1), below[2] * above[2] * 10**30]
