@@ -194,31 +194,22 @@ class AnalysisReport:
     period: int | None = None
 
     def to_dict(self):
-        d = {
-            "spec": self.spec.to_dict(),
-            "q_tilde": str(self.q_tilde),
-            "det_i_minus_2t": str(self.det_i_minus_2t),
-            "weights": [str(x) for x in self.weights],
-        }
-        if self.connection_integer is not None:
-            d["connection_integer"] = [str(x) for x in self.connection_integer]
-            d["connection_vector"] = [str(x) for x in self.connection_vector]
-        if self.connection_matrix is not None:
-            d["connection_matrix"] = [
-                [str(x) for x in row] for row in self.connection_matrix
-            ]
-        d["order"] = str(self.order) if self.order is not None else "unavailable"
-        if self.order_unavailable:
-            d["order_unavailable"] = self.order_unavailable
+        """Every set field, its integers as decimal strings; order "unavailable" when unset."""
+        d = {k: _decimal(v) for k, v in vars(self).items() if v is not None}
+        d["spec"] = self.spec.to_dict()
+        d.setdefault("order", "unavailable")
         if self.feedback_corner is not None:
             d["feedback_corner"] = gf2n.elem_to_bits(self.feedback_corner)
         if self.rationals is not None:
-            d["preperiod"] = str(self.preperiod)
-            d["period"] = str(self.period)
-            d["rationals"] = [
-                {"p": str(x.p), "q": str(x.q)} for x in self.rationals
-            ]
+            d["rationals"] = [{"p": str(x.p), "q": str(x.q)} for x in self.rationals]
         return d
+
+
+def _decimal(x):
+    """An int as a decimal string, through nested tuples and lists."""
+    if isinstance(x, int):
+        return str(x)
+    return [_decimal(y) for y in x] if isinstance(x, (tuple, list)) else x
 
 
 def analyze(

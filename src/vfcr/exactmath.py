@@ -16,7 +16,6 @@ TRIAL_DIVISION_BOUND = 10**6
 _MR_DETERMINISTIC_LIMIT = 3317044064679887385961981
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _RANDOM_ROUNDS = 64  # error < 4^-64 = 2^-128
-_PRIME_TEST_SPAN = 3000  # factorize tests its cofactor for primality only with more d left
 
 
 class FactorBudgetExceeded(RuntimeError):
@@ -166,9 +165,9 @@ def factorize(n: int, rho_budget: int = DEFAULT_RHO_BUDGET) -> dict:
     """Full prime factorization of n >= 1, or FactorBudgetExceeded.
 
     Trial division up to 10^6 ends early once the cofactor, which it would
-    never strip, is prime (tested where over _PRIME_TEST_SPAN of the range is
-    left).  Pollard rho splits the rest, all its runs sharing one budget of
-    rho_budget steps.  A budget overrun raises; it never returns a wrong answer.
+    never strip, is prime (tested while a divisor is left to try).  Pollard
+    rho splits the rest, all its runs sharing one budget of rho_budget steps.
+    A budget overrun raises; it never returns a wrong answer.
     """
     if n < 1:
         raise ValueError("factorize needs n >= 1")
@@ -180,7 +179,7 @@ def factorize(n: int, rho_budget: int = DEFAULT_RHO_BUDGET) -> dict:
                 out[p] = out.get(p, 0) + 1
                 n //= p
         stop = min(TRIAL_DIVISION_BOUND, math.isqrt(n))
-        if stop - d > _PRIME_TEST_SPAN and is_probable_prime(n):
+        if d <= stop and is_probable_prime(n):
             return out | {n: 1}
         while d <= stop and n % d and n % (d + 2):
             d += 6

@@ -244,24 +244,12 @@ def expand(field_matrix, P: BinaryPolynomial):
     return tuple(tuple(x) for x in big)
 
 
-def mat_vec(a, big):
-    """Row vector times matrix, over Z."""
-    d = len(big)
-    out = [0] * d
-    for i, ai in enumerate(a):
-        if not ai:
-            continue
-        row = big[i]
-        for j in range(d):
-            out[j] += ai * row[j]
-    return out
-
-
 def step_vfcr(state: RegisterState, big) -> RegisterState:
-    """One clock of a (vectorial) carry register with expanded matrix big."""
-    sigma = mat_vec(state.a, big)
-    for j, mj in enumerate(state.m):
-        sigma[j] += mj
+    """One clock of a (vectorial) carry register with expanded matrix big.
+
+    a.B + m: the bits of a select the rows of B added to the carries.
+    """
+    sigma = [sum(col) for col in zip(state.m, *compress(big, state.a))]
     a = tuple(s & 1 for s in sigma)
     m = tuple(s >> 1 for s in sigma)
     return RegisterState(a, m)
@@ -409,6 +397,7 @@ def detect_cycle(spec: RegisterSpec, init: RegisterState, max_steps: int = 10**6
         steps += 1
         if steps > max_steps:
             raise StepBudgetExceeded(f"no cycle within {max_steps} steps")
+    # the tortoise stopped at steps - lam >= mu, so mu + lam <= max_steps below
     tortoise = hare = init
     for _ in range(lam):
         hare = f(hare)
@@ -417,8 +406,6 @@ def detect_cycle(spec: RegisterSpec, init: RegisterState, max_steps: int = 10**6
         tortoise = f(tortoise)
         hare = f(hare)
         mu += 1
-        if mu > max_steps:
-            raise StepBudgetExceeded(f"no cycle within {max_steps} steps")
     return mu, lam
 
 
