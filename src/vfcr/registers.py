@@ -397,7 +397,7 @@ def detect_cycle(spec: RegisterSpec, init: RegisterState, max_steps: int = 10**6
         steps += 1
         if steps > max_steps:
             raise StepBudgetExceeded(f"no cycle within {max_steps} steps")
-    # the tortoise stopped at steps - lam >= mu, so mu + lam <= max_steps below
+    # the loop met at index steps - lam >= mu, so mu + lam <= steps <= max_steps
     tortoise = hare = init
     for _ in range(lam):
         hare = f(hare)
