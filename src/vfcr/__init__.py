@@ -42,11 +42,9 @@ from .registers import (
     as_ring,
     binary_spec,
     closed_form,
-    detect_cycle,
     expand,
     output_rows,
     run,
-    step,
 )
 from .search import (
     FamilyReport,

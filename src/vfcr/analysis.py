@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from . import gf2n, registers
 from .exactmath import DEFAULT_RHO_BUDGET, FactorBudgetExceeded, det_exact, multiplicative_order
 from .registers import (
+    CYCLE_BUDGET,
     FIBONACCI,
     GALOIS,
     RING,
@@ -21,9 +22,6 @@ from .registers import (
     StepBudgetExceeded,
     identity_minus_2t,
 )
-
-# analyze(reconstruct=True) refuses a preperiod + period over this many steps
-CYCLE_BUDGET = 10**6
 
 
 @dataclass(frozen=True)
@@ -40,9 +38,6 @@ class Rational2Adic:
     def reduce(self) -> "Rational2Adic":
         g = math.gcd(self.p, self.q)
         return Rational2Adic(self.p // g, self.q // g)
-
-    def __str__(self):
-        return f"{self.p}/{self.q}"
 
 
 def connection_integer(spec: RegisterSpec) -> tuple:

@@ -7,7 +7,7 @@ X^2 + X + 1 define the same field but different integer quotient rings
 (and therefore different norms).
 
 Both rings have one product routine, ``mult_matrix``; ``gf_mul`` is its
-product mod 2, and the checks on the modulus multiply through ``gf_mul``.
+product mod 2, and the irreducibility test on P multiplies through it.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import mul
 
-from .exactmath import FactorBudgetExceeded, det_exact, factorize
+from .exactmath import det_exact, factorize
 
 
 class PolynomialError(ValueError):
@@ -43,25 +43,13 @@ def _is_irreducible(P: BinaryPolynomial) -> bool:
                for d in factorize(n))
 
 
-def _xbar_pow(e: int, P: BinaryPolynomial) -> tuple:
-    """Xbar^e in F2[X]/(P), n >= 2, by square-and-multiply through gf_mul."""
-    r, a = (1,) + (0,) * (P.n - 1), (0, 1) + (0,) * (P.n - 2)
-    while e:
-        if e & 1:
-            r = gf_mul(r, a, P)
-        e >>= 1
-        a = gf_mul(a, a, P)
-    return r
-
-
 @dataclass(frozen=True)
 class BinaryPolynomial:
     """Monic modulus with signed integer coefficients, irreducible mod 2.
 
     ``coeffs`` is the lift in Z[X] (constant term first, length n+1).
-    Reduction mod 2 must be irreducible with nonzero constant term; Rabin's
-    test decides it through ``gf_mul``, with gcd(e, P) = 1 iff N(e) is odd.
-    ``primitive`` is computed on access from the factorization of 2^n - 1.
+    Reduction mod 2 must be irreducible with nonzero constant term, which is
+    all the analysis asks of P; Rabin's test decides it through ``gf_mul``.
     """
 
     coeffs: tuple
@@ -102,20 +90,6 @@ class BinaryPolynomial:
     def lift_text(self) -> str:
         """Signed coefficients as comma-separated text (round-trips parse)."""
         return ",".join(str(c) for c in self.coeffs)
-
-    @property
-    def primitive(self):
-        """True iff Xbar generates F2[X]/(P)*, i.e. has order 2^n - 1.
-
-        None when 2^n - 1 cannot be factored within the default rho budget.
-        """
-        order = (1 << self.n) - 1
-        try:
-            primes = factorize(order)
-        except FactorBudgetExceeded:
-            return None
-        one = (1,) + (0,) * (self.n - 1)
-        return all(_xbar_pow(order // p, self) != one for p in primes)
 
 
 # The quadratic modulus used throughout: X^2 - X - 1, whose quotient ring

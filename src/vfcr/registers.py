@@ -31,6 +31,10 @@ class StepBudgetExceeded(RuntimeError):
     """A trajectory's preperiod + period exceeds the step budget."""
 
 
+# detect_cycle's default step budget; analyze(reconstruct=True) caps preperiod + period at it
+CYCLE_BUDGET = 10**6
+
+
 @dataclass(frozen=True)
 class RegisterState:
     """Main register bits and integer carries, flattened per the cell-major order."""
@@ -374,7 +378,7 @@ def _stepper(spec: RegisterSpec):
     return lambda s: step_vfcr(s, big)
 
 
-def detect_cycle(spec: RegisterSpec, init: RegisterState, max_steps: int = 10**6):
+def detect_cycle(spec: RegisterSpec, init: RegisterState, max_steps: int = CYCLE_BUDGET):
     """Least (preperiod s, period T) of the full-state trajectory, via Brent.
 
     Termination is guaranteed for nonnegative carries (the carry vector is

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -378,6 +379,53 @@ def test_analyze_prints_the_frozen_document(tmp_path, capsys, spec, args, expect
     path.write_text(json.dumps(spec))
     assert main(["analyze", "--spec", str(path)] + args) == 0
     assert capsys.readouterr().out == expected + "\n"
+
+
+# vfcsr enumerations whose stdout no benchmark digest covers: sha256, frozen
+@pytest.mark.parametrize("args, digest", [
+    (["vfcsr-q-fib", "--r", "3"],
+     "2bb7fac5282d75c6a24d3f9f68db274967df604376538d6d45ae0783fdae0d76"),
+    (["vfcsr-q-galois", "--r", "3"],
+     "6ec889ae9a52a03e565678c64c1758598931988cbe12da9622e045767e8f9fca"),
+    (["vfcsr-q-fib", "--r", "2", "--poly", "1101"],
+     "e46be58f748a42135d0feff1c8f2f900a447bf7882791722c48be4efbbb11fd4"),
+    (["vfcsr-q-galois", "--r", "2", "--poly", "1101"],
+     "d90b080d44b3e3d621fd630d5cf6472754f1f276111d486d7a90ca5e8bd80711"),
+])
+def test_enumerate_vfcsr_prints_the_frozen_digest(capsys, args, digest):
+    assert main(["enumerate", "--family"] + args) == 0
+    captured = capsys.readouterr()
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
+    assert captured.err == ""
+
+
+# search over at most 2^16 matrices scans them all in a seed-shuffled order;
+# --r 4 over F2 is 2^16 codes, the largest space scanned this way
+@pytest.mark.parametrize("args, expected", [
+    (["--r", "2", "--count", "3", "--seed", "1"],
+     '[{"order": "4", "q_tilde": "5", "spec": {"T": [["0", "1"], ["1", "1"]], "base": "binary", '
+     '"mode": "ring", "poly": "-1,1", "r": 2}}, {"order": "2", "q_tilde": "3", "spec": {"T": '
+     '[["0", "1"], ["1", "0"]], "base": "binary", "mode": "ring", "poly": "-1,1", "r": 2}}, '
+     '{"order": "4", "q_tilde": "5", "spec": {"T": [["1", "1"], ["1", "0"]], "base": "binary", '
+     '"mode": "ring", "poly": "-1,1", "r": 2}}]'),
+    (["--r", "2", "--poly=-1,-1,1", "--count", "2", "--seed", "3"],
+     '[{"order": "10", "q_tilde": "11", "spec": {"T": [["11", "01"], ["11", "01"]], "base": '
+     '"vectorial", "mode": "ring", "poly": "-1,-1,1", "r": 2}}, {"order": "10", "q_tilde": "11", '
+     '"spec": {"T": [["10", "11"], ["11", "10"]], "base": "vectorial", "mode": "ring", "poly": '
+     '"-1,-1,1", "r": 2}}]'),
+    (["--r", "3", "--ring-only", "--count", "2", "--seed", "2"],
+     '[{"order": "2", "q_tilde": "3", "spec": {"T": [["1", "0", "0"], ["1", "1", "1"], ["0", "1", '
+     '"1"]], "base": "binary", "mode": "ring", "poly": "-1,1", "r": 3}}, {"order": "4", '
+     '"q_tilde": "5", "spec": {"T": [["1", "0", "1"], ["1", "1", "0"], ["1", "1", "1"]], "base": '
+     '"binary", "mode": "ring", "poly": "-1,1", "r": 3}}]'),
+    (["--r", "4", "--count", "1", "--seed", "0"],
+     '[{"order": "2", "q_tilde": "3", "spec": {"T": [["0", "0", "0", "0"], ["0", "1", "1", "0"], '
+     '["1", "0", "1", "1"], ["0", "1", "1", "0"]], "base": "binary", "mode": "ring", "poly": '
+     '"-1,1", "r": 4}}]'),
+])
+def test_exhaustive_search_prints_the_frozen_hits(capsys, args, expected):
+    assert main(["search"] + args) == 0
+    assert capsys.readouterr() == (expected + "\n", "")
 
 
 @pytest.mark.parametrize(

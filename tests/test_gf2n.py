@@ -4,8 +4,6 @@ from itertools import product
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vfcr import gf2n
-from vfcr.exactmath import FactorBudgetExceeded
 from vfcr.gf2n import (
     BinaryPolynomial,
     PolynomialError,
@@ -177,27 +175,6 @@ def test_rejects_even_constant_and_nonmonic():
         BinaryPolynomial((1, 1, 2))
 
 
-def test_primitivity_flag():
-    assert quadratic().primitive is True
-    assert CUBIC.primitive is True
-    # X^4+X^3+X^2+X+1 is irreducible but Xbar has order 5, not 15
-    assert BinaryPolynomial.from_bits("11111").primitive is False
-
-
-def test_primitivity_above_degree_20(monkeypatch):
-    # 2^31 - 1 is prime, so every irreducible modulus of degree 31 is primitive
-    assert BinaryPolynomial.from_bits("1001" + "0" * 27 + "1").primitive is True
-    # X^21 + X^7 + 1 is irreducible, but Xbar has order 49, not 2^21 - 1
-    P = BinaryPolynomial.from_bits("1" + "0" * 6 + "1" + "0" * 13 + "1")
-    assert P.n == 21 and P.primitive is False
-
-    def over_budget(n):
-        raise FactorBudgetExceeded("budget")
-
-    monkeypatch.setattr(gf2n, "factorize", over_budget)
-    assert P.primitive is None
-
-
 def test_parse_round_trip():
     P = BinaryPolynomial.parse("111")
     assert P.coeffs == (1, 1, 1)
@@ -244,18 +221,11 @@ def f2_mod(a, m):
 
 
 def oracle_modulus(bits):
-    """(irreducible, primitive) of a {0,1} modulus, constant term first.
-
-    Irreducible: no F2 divisor of degree 1 .. n/2.  Primitive: the order of
-    Xbar, found by multiplying by X until 1 comes back, is 2^n - 1.
+    """Whether a {0,1} modulus, constant term first, is irreducible over F2:
+    no F2 divisor of degree 1 .. n/2.
     """
     m, n = int(bits[::-1], 2), len(bits) - 1
-    if any(f2_mod(m, f) == 0 for f in range(2, 1 << (n // 2 + 1))):
-        return False, None
-    t, order = f2_mod(0b10, m), 1
-    while t != 1:
-        t, order = f2_mod(t << 1, m), order + 1
-    return True, order == (1 << n) - 1
+    return all(f2_mod(m, f) for f in range(2, 1 << (n // 2 + 1)))
 
 
 def modulus_outcome(coeffs):
@@ -263,16 +233,15 @@ def modulus_outcome(coeffs):
         P = BinaryPolynomial(coeffs)
     except PolynomialError as exc:
         return str(exc)
-    return P.primitive
+    return P.n
 
 
 @pytest.mark.parametrize("n", range(1, 11))
-def test_modulus_checks_match_trial_division_and_the_order_of_xbar(n):
+def test_modulus_check_matches_trial_division(n):
     for tail in product("01", repeat=n - 1):
         bits = "1" + "".join(tail) + "1"
-        irreducible, primitive = oracle_modulus(bits)
-        if irreducible:
-            assert BinaryPolynomial.from_bits(bits).primitive is primitive, bits
+        if oracle_modulus(bits):
+            assert BinaryPolynomial.from_bits(bits).bits() == bits
         else:
             with pytest.raises(PolynomialError, match="reducible over F2"):
                 BinaryPolynomial.from_bits(bits)
