@@ -209,20 +209,18 @@ def _decimal(x):
 
 def analyze(
     spec: RegisterSpec,
-    init: RegisterState | None = None,
+    init: RegisterState,
     reconstruct: bool = False,
     rho_budget: int = DEFAULT_RHO_BUDGET,
 ) -> AnalysisReport:
     """Full analysis: norms, determinant, period bound, weights, rationals.
 
-    det(I - 2B) and the numerators p come from one closed_form call (on the
-    zero state without init).  With reconstruct, the rationals, preperiod and
+    det(I - 2B) and the numerators p of the cells started at init come from
+    one closed_form call.  With reconstruct, the rationals, preperiod and
     period come from them; StepBudgetExceeded when preperiod + period exceeds
     CYCLE_BUDGET.
     """
-    if reconstruct and init is None:
-        raise ValueError("reconstruction needs an initial state")
-    det, p = registers.closed_form(spec, spec.zero_state() if init is None else init)
+    det, p = registers.closed_form(spec, init)
     q_tilde = abs(det)
     report = AnalysisReport(
         spec=spec,
@@ -241,20 +239,17 @@ def analyze(
             )
     else:
         report.feedback_corner = spec.matrix[0][spec.r - 1]
-    if q_tilde > 1:
-        try:
-            report.order = multiplicative_order(2, q_tilde, rho_budget)
-        except FactorBudgetExceeded as exc:
-            report.order_unavailable = str(exc)
-    else:
-        report.order = 1
+    try:
+        report.order = multiplicative_order(q_tilde, rho_budget)
+    except FactorBudgetExceeded as exc:
+        report.order_unavailable = str(exc)
     if reconstruct:
         if det < 0:
             p = [-x for x in p]
         report.rationals = [Rational2Adic(x, q_tilde).reduce() for x in p]
         report.preperiod = max(_preperiod(x, q_tilde) for x in p)
         den = math.lcm(*(x.q for x in report.rationals))
-        report.period = multiplicative_order(2, den, rho_budget) if den > 1 else 1
+        report.period = multiplicative_order(den, rho_budget)
         if report.preperiod + report.period > CYCLE_BUDGET:
             raise StepBudgetExceeded(
                 f"preperiod {report.preperiod} + period {report.period}"

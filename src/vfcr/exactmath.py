@@ -205,21 +205,16 @@ def factorize(n: int, rho_budget: int = DEFAULT_RHO_BUDGET) -> dict:
     return out
 
 
-def multiplicative_order(base: int, q: int, rho_budget: int = DEFAULT_RHO_BUDGET) -> int:
-    """Least t > 0 with base^t = 1 mod q, for odd q > 1 coprime to base.
+def multiplicative_order(q: int, rho_budget: int = DEFAULT_RHO_BUDGET) -> int:
+    """Least t > 0 with 2^t = 1 mod q, for odd q >= 1.
 
     The order divides Carmichael's lambda(q), the lcm of p^(e-1) (p - 1) over
     the prime powers p^e of q: start from lambda(q) and strip its prime
-    factors while base^(t/p) = 1 (Cohen, A Course in Computational Algebraic
+    factors while 2^(t/p) = 1 (Cohen, A Course in Computational Algebraic
     Number Theory, 1.4).  Each factorization gets a budget of rho_budget.
     """
-    if q <= 1 or q % 2 == 0:
-        raise ValueError("modulus must be odd and > 1")
-    base %= q
-    if math.gcd(base, q) != 1:
-        raise ValueError("base must be coprime to the modulus")
-    if base == 1:
-        return 1
+    if q < 1 or q % 2 == 0:
+        raise ValueError("modulus must be odd and positive")
     lam = {}  # prime -> exponent in lambda(q)
     for p, e in factorize(q, rho_budget).items():
         for f, k in factorize(p - 1, rho_budget).items():
@@ -228,7 +223,7 @@ def multiplicative_order(base: int, q: int, rho_budget: int = DEFAULT_RHO_BUDGET
             lam[p] = max(lam.get(p, 0), e - 1)
     t = math.prod(f**k for f, k in lam.items())
     for f in lam:
-        while t % f == 0 and pow(base, t // f, q) == 1:
+        while t % f == 0 and pow(2, t // f, q) == 1:
             t //= f
     return t
 

@@ -93,15 +93,15 @@ def _is_l_norm(q: int, rho_budget: int) -> bool:
         return False
 
 
-def _det_mod8(elems, P):
-    """residue(cells) = det(I - 2B) mod 8 for B = expand(T, P), T_ij = elems[cells[i][j]].
+def _det_mod8(elem, P):
+    """residue(cells) = det(I - 2B) mod 8 for B = expand(T, P), T_ij = elem(cells[i][j]).
 
     Mod 8, det(I - 2B) = 1 - 2 e_1 + 4 e_2 over the elementary symmetric functions of
     B's eigenvalues, with e_1 = tr B and 2 e_2 = tr(B)^2 - tr(B^2) (Newton).  tr B sums
     tr M(T_ii) and tr(B^2) sums tr(M(T_ij) M(T_ji)), each kept per pair of element codes.
     """
-    one = elems.index((1,) + (0,) * (P.n - 1))  # M(1) = I, so tr M(c) = trace(c, one)
-    block = lru_cache(maxsize=None)(lambda c: gf2n.mult_matrix(elems[c], P))
+    one = 1 << (P.n - 1)  # the code of 1; M(1) = I, so tr M(c) = trace(c, one)
+    block = lru_cache(maxsize=None)(lambda c: gf2n.mult_matrix(elem(c), P))
 
     @lru_cache(maxsize=None)
     def trace(a, b):  # tr(M(a) M(b))
@@ -255,8 +255,9 @@ def find_l_sequence_matrices(
     n = P.n
     space = 1 << (n * r * r)
     rng = random.Random(seed)
-    elems = _field_elements(n)
-    residue = _det_mod8(elems, P)
+    # a code's element in _field_elements order, decoded when a draw reaches it
+    elem = lru_cache(maxsize=None)(lambda c: tuple(c >> k & 1 for k in range(n - 1, -1, -1)))
+    residue = _det_mod8(elem, P)
     if space <= 1 << 16:
         codes = list(range(space))
         rng.shuffle(codes)
@@ -270,7 +271,7 @@ def find_l_sequence_matrices(
             continue
         seen.add(code)
         cells = [[(code >> ((i * r + j) * n)) & ((1 << n) - 1) for j in range(r)] for i in range(r)]
-        mat = tuple(tuple(elems[c] for c in row) for row in cells)
+        mat = tuple(tuple(elem(c) for c in row) for row in cells)
         if ring_only and not registers.has_subdiagonal_ones(mat, n):
             continue
         if residue(cells) not in (3, 5):  # q~ = +-1 mod 8 is no l-norm (_is_l_norm)

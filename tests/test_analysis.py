@@ -221,7 +221,7 @@ def test_analyze_reference_register():
 
 def test_analyze_fibonacci_cross_checks_norm():
     spec = binary_spec("fibonacci", [1, 0, 1])  # q = 2 + 8 - 1 = 9
-    rep = analyze(spec)
+    rep = analyze(spec, spec.zero_state())
     assert rep.q_tilde == 9
     assert rep.connection_integer == (9,)
     assert rep.order == 6  # ord_9(2)
@@ -240,11 +240,7 @@ def test_analyze_galois_vectorial_order():
     spec = RegisterSpec(
         base="vectorial", mode="galois", r=2, poly=quadratic(), coeffs=((1, 1), (0, 1))
     )
-    rep = analyze(spec)
+    rep = analyze(spec, spec.zero_state())
     assert rep.q_tilde == 29
     assert rep.order == 28
 
-
-def test_analyze_requires_init_for_reconstruction():
-    with pytest.raises(ValueError):
-        analyze(q61_spec(), reconstruct=True)

@@ -10,7 +10,6 @@ the reference for `multiplicative_order`.
 import contextlib
 import io
 import json
-import math
 import os
 import tempfile
 from itertools import product
@@ -189,7 +188,8 @@ def test_analyze_determinant_matches_bareiss(reg):
     # analyze takes det(I - 2B) from the signed closed form, not from det_exact
     spec, init = reg
     det, p = closed_form(spec, init)
-    assert analyze(spec).det_i_minus_2t == ring_connection_norm(spec.big_matrix())[0] == det
+    zero = analyze(spec, spec.zero_state())
+    assert zero.det_i_minus_2t == ring_connection_norm(spec.big_matrix())[0] == det
     sign = 1 if det > 0 else -1
     report = analyze(spec, init, reconstruct=True)
     assert report.det_i_minus_2t == det
@@ -242,22 +242,22 @@ def test_witness_check_matches_brute_force(reg):
     assert _witness_achieves(spec, q_tilde - 1) == brute_force_witness(spec, q_tilde - 1)
 
 
-def powering_order(base, q):
-    t, x = 1, base % q
+def powering_order(q):
+    """The order of 2 modulo an odd q > 1, by stepping through the powers of 2."""
+    t, x = 1, 2 % q
     while x != 1:
-        x = x * base % q
+        x = x * 2 % q
         t += 1
     return t
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.integers(1, 2**11 - 1), st.sampled_from((2, 3, 5, 6, 10)))
-def test_multiplicative_order_matches_powering(k, base):
+@given(st.integers(1, 2**11 - 1))
+def test_multiplicative_order_matches_powering(k):
     q = 2 * k + 1
-    assume(math.gcd(base, q) == 1)
-    assert multiplicative_order(base, q) == powering_order(base, q)
+    assert multiplicative_order(q) == powering_order(q)
 
 
 def test_multiplicative_order_of_large_composite():
     # the orders of 2 modulo the two Mersenne primes are 61 and 31
-    assert multiplicative_order(2, (2**61 - 1) * (2**31 - 1)) == 1891
+    assert multiplicative_order((2**61 - 1) * (2**31 - 1)) == 1891

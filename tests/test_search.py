@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -142,6 +143,20 @@ def test_sampled_search_skips_repeated_draws():
     hits = find_l_sequence_matrices(3, poly=quadratic(), count=MAX_DRAWS + 1, seed=0)
     assert 0 < len(hits) <= len(set(draws))
     assert len({h["spec"].matrix for h in hits}) == len(hits)
+
+
+def test_search_decodes_only_the_drawn_field_elements():
+    # X^20 + X^3 + 1 has 2^20 field elements: a table of them all peaks over 200 MB
+    P = BinaryPolynomial.parse("100100000000000000001")
+    tracemalloc.start()
+    try:
+        hits = find_l_sequence_matrices(1, poly=P)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20
+    assert [(h["spec"].to_dict()["T"], h["q_tilde"], h["order"]) for h in hits] == [
+        ([["10100110100000010010"]], 4605416932637, 4605416932636)]
 
 
 def test_find_matrices_rejects_bad_count():

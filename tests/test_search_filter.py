@@ -72,7 +72,8 @@ def test_residue_matches_the_determinant(case):
     P, cells = case
     elems = _field_elements(P.n)
     mat = [[elems[c] for c in row] for row in cells]
-    assert _det_mod8(elems, P)(cells) == det_exact(identity_minus_2t(expand(mat, P))) % 8
+    residue = _det_mod8(elems.__getitem__, P)
+    assert residue(cells) == det_exact(identity_minus_2t(expand(mat, P))) % 8
 
 
 @pytest.mark.parametrize(
