@@ -4,7 +4,9 @@ A register reaches the maximal period q~ - 1 (an l-sequence) exactly when
 its connection norm q~ is prime and 2 is a primitive root modulo q~.  The
 family enumerators report the achieved connection norms and certify every
 claimed maximal period on a witness register, exactly and without stepping:
-the witness's own |det(I - 2B)| must equal q~ (see _witness_achieves).
+the witness's own |det(I - 2B)| must equal q~ (see _witness_achieves).  The
+matrix families are walked by cofactors over Z[X]/(P), skipping every row
+prefix whose minors repeat an earlier prefix's (see _matrix_norms).
 """
 
 from __future__ import annotations
@@ -12,13 +14,12 @@ from __future__ import annotations
 import random
 from dataclasses import asdict, dataclass
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from operator import add
 
 from . import gf2n, registers
 from .analysis import connection_integer_of, ring_connection_norm
-from .exactmath import (DEFAULT_RHO_BUDGET, FactorBudgetExceeded, is_probable_prime,
-                        is_primitive_root_2)
+from .exactmath import DEFAULT_RHO_BUDGET, FactorBudgetExceeded, is_primitive_root_2
 from .registers import GALOIS, RING, RegisterSpec
 
 FAMILIES = ("binary-fcr", "vfcsr-q-fib", "vfcsr-q-galois", "vfcr-q")
@@ -129,17 +130,22 @@ def _witness_achieves(spec: RegisterSpec, target: int) -> bool:
 
 
 def _matrix_norms(r: int, P):
-    """Yield (q~, T) for every r x r matrix T over F2[X]/(P), row 0 slowest.
+    """Yield (q~, T) for the first r x r matrix T over F2[X]/(P) of each distinct q.
 
-    q~ = |N(det_R(I - 2T))| over R = Z[X]/(P), as the blocks of B commute
-    (Kovacs, Silver and Williams, Amer. Math. Monthly 106, 1999).  Depth-first
-    over the rows, the minors over R of the top k rows on each k-subset of
-    columns extend by Laplace expansion along the next row.  A last row sums
-    r cofactor products, and each distinct q costs one norm.
+    Matrices come row 0 slowest.  q~ = |N(q)| with q = det_R(I - 2T) over
+    R = Z[X]/(P), as the blocks of B commute (Kovacs, Silver and Williams, Amer.
+    Math. Monthly 106, 1999).  Depth-first over the rows, the minors over R of
+    the top k rows on each k-subset of columns extend by Laplace expansion along
+    the next row.  A last row sums r cofactor products, and each distinct q costs
+    one norm.  By Laplace expansion along the rows below, every completion's q
+    depends on the top rows only through their minors, so a prefix whose minors
+    repeat an earlier prefix's is skipped: the earlier one reaches each of its
+    q first, with the same completion.
     """
     n = P.n
     rows = list(product(_field_elements(n), repeat=r))  # the choices of one row
     norms = {}  # q -> q~, for this call only
+    seen = set()  # (k, minors of the top k + 1 rows) already walked, for this call only
 
     @lru_cache(maxsize=None)  # for this call only: few distinct minors recur
     def products(v, sign, diag):
@@ -158,18 +164,22 @@ def _matrix_norms(r: int, P):
                 q = tuple(map(sum, zip(*parts)))
                 if q not in norms:
                     norms[q] = abs(gf2n.norm(q, P))
-                yield norms[q], top + (row,)
+                    yield norms[q], top + (row,)
             return
         for row, idx in zip(rows, product(range(1 << n), repeat=r)):
             below = {S: tuple(map(sum, zip(*(p[idx[j]] for p, j in zip(ps, S)))))
                      for S, ps in terms.items()}
-            yield from walk(k + 1, top + (row,), below)
+            key = (k, *chain.from_iterable(below.values()))
+            if key not in seen:
+                seen.add(key)
+                yield from walk(k + 1, top + (row,), below)
 
     return walk(0, (), {(): (1,) + (0,) * (n - 1)})
 
 
 def _models(family: str, r: int, P):
-    """Iterator of (q~, model) over every model of the family, in model order."""
+    """Iterator of (q~, model) in model order: every model of a vfcsr family, and
+    the first model of each distinct q = det_R(I - 2T) of a matrix family."""
     if family.startswith("vfcsr"):
         cs = product(_field_elements(P.n), repeat=r)
         return ((abs(gf2n.norm(connection_integer_of(c), P)), c) for c in cs)
@@ -300,16 +310,15 @@ def check_triplet(q_tilde: int, u: int, v: int,
         raise ValueError("triplet entries must be nonnegative")
     form_value = u * u + u * v - v * v
     form_ok = form_value == q_tilde
-    prime = is_probable_prime(q_tilde)
-    primitive = None
-    skip = None
-    if prime and q_tilde > 2:
-        try:
-            primitive = is_primitive_root_2(q_tilde, rho_budget)
-        except FactorBudgetExceeded:
-            skip = "skipped: factorization budget"
-    elif not prime:
-        skip = "skipped: q~ not prime"
+    primitive = skip = None
+    try:  # tests q~ for primality first: ValueError unless q~ is an odd prime
+        primitive = is_primitive_root_2(q_tilde, rho_budget)
+        prime = True
+    except FactorBudgetExceeded:
+        prime, skip = True, "skipped: factorization budget"
+    except ValueError:
+        prime = q_tilde == 2
+        skip = None if prime else "skipped: q~ not prime"
     return TripletReport(
         q_tilde=q_tilde,
         u=u,

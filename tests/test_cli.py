@@ -399,6 +399,21 @@ def test_enumerate_vfcsr_prints_the_frozen_digest(capsys, args, digest):
     assert captured.err == ""
 
 
+# matrix-family enumerations whose stdout no benchmark digest covers (the csv
+# prints every witness spec): sha256, frozen before the cofactor walk was pruned
+@pytest.mark.parametrize("args, digest", [
+    (["vfcr-q", "--r", "3"],
+     "08de8d5d5ad84b2688e39e1967a9eec2a3987f82a4ab774398a68808d8f5b1a7"),
+    (["binary-fcr", "--r", "4", "--format", "csv"],
+     "b0a71c9d602a3c307f1a4c582ee80d61bc8cace04892b451c62625d2c26d6b54"),
+])
+def test_enumerate_matrix_family_prints_the_frozen_digest(capsys, args, digest):
+    assert main(["enumerate", "--family"] + args) == 0
+    captured = capsys.readouterr()
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
+    assert captured.err == ""
+
+
 # search over at most 2^16 matrices scans them all in a seed-shuffled order;
 # --r 4 over F2 is 2^16 codes, the largest space scanned this way
 @pytest.mark.parametrize("args, expected", [

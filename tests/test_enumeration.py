@@ -5,17 +5,22 @@ cofactors of the rows above the last.  The reference here is the old
 enumeration: expand each model to the rn x rn integer matrix B and take
 det(I - 2B) by Bareiss (`ring_connection_norm`); for binary FCRs, one
 r x r determinant per code; for VFCSRs, the connection integer summed in
-place.  Both must give the same q~ model for model, the same report and the
-same witness specs.
+place.  For VFCSRs both must give the same q~ model for model.  The matrix
+walk yields only the first model of each distinct q, so there it must give
+an in-order subsequence with the same first model of each q~.  Both must give
+the same report and the same witness specs.  The pruned walk is also checked
+against a copy of the unpruned walk it replaced.
 """
 
-from itertools import permutations, product
+from functools import lru_cache
+from itertools import combinations, permutations, product
+from operator import add
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vfcr import search
+from vfcr import gf2n, search
 from vfcr.analysis import ring_connection_norm
 from vfcr.exactmath import det_exact
 from vfcr.gf2n import BinaryPolynomial, binary_modulus, mul_lifted, norm, quadratic
@@ -119,9 +124,17 @@ def test_enumeration_matches_expand_reference(monkeypatch, family, r, lift):
     poly = BinaryPolynomial.parse(lift) if lift else None
     P = binary_modulus() if family == "binary-fcr" else poly or quadratic()
     new, old = list(search._models(family, r, P)), list(reference_models(family, r, P))
-    assert new == [(q, model) for q, model, _ in old]
-    for (_, model), (_, _, ref) in zip(new, old):
-        spec = search._spec(family, r, P, model)
+    pairs = [(q, model) for q, model, _ in old]
+    if family.startswith("vfcsr"):
+        assert new == pairs
+    else:
+        rest = iter(pairs)
+        assert all(pair in rest for pair in new)  # an in-order subsequence
+        assert {q for q, _ in new} == {q for q, _ in pairs}
+        assert dict(reversed(new)) == dict(reversed(pairs))  # q~ -> its first model
+    refs = {model: ref for _, model, ref in old}
+    for _, model in new:
+        spec, ref = search._spec(family, r, P, model), refs[model]
         assert (spec and spec.to_json()) == (ref and ref.to_json())
 
     report = search.enumerate_family(family, r, poly=poly)
@@ -135,6 +148,58 @@ def test_enumeration_matches_expand_reference(monkeypatch, family, r, lift):
     assert {q: w.to_json() for q, w in report.witnesses.items()} == {
         q: w.to_json() for q, w in ref_report.witnesses.items()
     }
+
+
+def unpruned_matrix_norms(r, P, norms):
+    """The cofactor walk before pruning: (q~, T) for every model, norms[q] = q~."""
+    n = P.n
+    rows = list(product(search._field_elements(n), repeat=r))
+
+    @lru_cache(maxsize=None)
+    def products(v, sign, diag):
+        sums = [(0,) * n]
+        for x in gf2n.mult_matrix(v, P):
+            sums = [s for t in sums for s in (t, tuple(map(add, t, x)))]
+        return tuple(tuple(sign * (a * diag - 2 * b) for a, b in zip(v, p)) for p in sums)
+
+    def walk(k, top, minors):
+        terms = {S: [products(minors[S[:t] + S[t + 1:]], (-1) ** (k + t), j == k)
+                     for t, j in enumerate(S)] for S in combinations(range(r), k + 1)}
+        if k == r - 1:
+            for row, parts in zip(rows, product(*terms[tuple(range(r))])):
+                q = tuple(map(sum, zip(*parts)))
+                if q not in norms:
+                    norms[q] = abs(gf2n.norm(q, P))
+                yield norms[q], top + (row,)
+            return
+        for row, idx in zip(rows, product(range(1 << n), repeat=r)):
+            below = {S: tuple(map(sum, zip(*(p[idx[j]] for p, j in zip(ps, S)))))
+                     for S, ps in terms.items()}
+            yield from walk(k + 1, top + (row,), below)
+
+    return walk(0, (), {(): (1,) + (0,) * (n - 1)})
+
+
+@pytest.mark.parametrize("family, r, lift", [
+    ("binary-fcr", 4, None),
+    ("vfcr-q", 3, None),
+    ("vfcr-q", 2, "1101"),
+    ("vfcr-q", 2, "-7,5,1"),
+])
+def test_pruned_walk_matches_the_unpruned_walk(monkeypatch, family, r, lift):
+    poly = BinaryPolynomial.parse(lift) if lift else None
+    P = binary_modulus() if family == "binary-fcr" else poly or quadratic()
+    norms = {}
+    old = list(unpruned_matrix_norms(r, P, norms))
+    new = list(search._matrix_norms(r, P))
+    assert {q for q, _ in new} == {q for q, _ in old}
+    assert dict(reversed(new)) == dict(reversed(old))  # q~ -> its first model
+    qs = [ring_det_leibniz(T, P) for _, T in new]
+    assert len(qs) == len(set(qs)) and set(qs) == set(norms)  # one pair per distinct q
+
+    report = search.enumerate_family(family, r, poly=poly)
+    monkeypatch.setattr(search, "_matrix_norms", lambda r, P: unpruned_matrix_norms(r, P, {}))
+    assert report == search.enumerate_family(family, r, poly=poly)
 
 
 @pytest.mark.parametrize(

@@ -3,9 +3,10 @@ import tracemalloc
 
 import pytest
 
-from golden_data import FAMILY_EXPECTED, Q61_FIELD_MATRIX
+from golden_data import BIG_TRIPLET_Q, FAMILY_EXPECTED, Q61_FIELD_MATRIX
+from vfcr import exactmath
 from vfcr.analysis import connection_norm
-from vfcr.exactmath import is_primitive_root_2, is_probable_prime
+from vfcr.exactmath import FactorBudgetExceeded, is_primitive_root_2, is_probable_prime
 from vfcr.gf2n import BinaryPolynomial, quadratic
 from vfcr.registers import RegisterSpec, has_subdiagonal_ones
 from vfcr.search import (
@@ -56,6 +57,29 @@ def test_check_triplet_non_primitive():
     rep = check_triplet(31, 5, 2)  # prime, but ord_31(2) = 5
     assert rep.form_ok and rep.prime
     assert rep.primitive_root is False
+
+
+def triplet_verdict_before(q_tilde, rho_budget):
+    """(prime, primitive_root, skip_reason) as check_triplet gave them with two primality tests."""
+    if not is_probable_prime(q_tilde):
+        return False, None, "skipped: q~ not prime"
+    if q_tilde == 2:
+        return True, None, None
+    try:
+        return True, is_primitive_root_2(q_tilde, rho_budget), None
+    except FactorBudgetExceeded:
+        return True, None, "skipped: factorization budget"
+
+
+@pytest.mark.parametrize("q_tilde", [0, 1, 2, 7, 11, 9, BIG_TRIPLET_Q])
+def test_check_triplet_tests_primality_once(monkeypatch, q_tilde):
+    expected = triplet_verdict_before(q_tilde, 10**5)
+    calls = []
+    monkeypatch.setattr(exactmath, "is_probable_prime",
+                        lambda n: calls.append(n) or is_probable_prime(n))
+    rep = check_triplet(q_tilde, 3, 2, rho_budget=10**5)
+    assert calls.count(q_tilde) == 1  # factorize may test its cofactors, never q~ again
+    assert (rep.prime, rep.primitive_root, rep.skip_reason) == expected
 
 
 def test_check_triplet_rejects_negative():
