@@ -144,7 +144,7 @@ def _matrix_norms(r: int, P):
     """
     n = P.n
     rows = list(product(_field_elements(n), repeat=r))  # the choices of one row
-    norms = {}  # q -> q~, for this call only
+    norms = set()  # q already yielded, for this call only
     seen = set()  # (k, minors of the top k + 1 rows) already walked, for this call only
 
     @lru_cache(maxsize=None)  # for this call only: few distinct minors recur
@@ -163,8 +163,8 @@ def _matrix_norms(r: int, P):
             for row, parts in zip(rows, product(*terms[tuple(range(r))])):
                 q = tuple(map(sum, zip(*parts)))
                 if q not in norms:
-                    norms[q] = abs(gf2n.norm(q, P))
-                    yield norms[q], top + (row,)
+                    norms.add(q)
+                    yield abs(gf2n.norm(q, P)), top + (row,)
             return
         for row, idx in zip(rows, product(range(1 << n), repeat=r)):
             below = {S: tuple(map(sum, zip(*(p[idx[j]] for p, j in zip(ps, S)))))
