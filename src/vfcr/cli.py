@@ -63,11 +63,7 @@ def cmd_simulate(args) -> int:
         raise SpecError("--steps must be >= 0")
     out = sys.stdout
     if args.format == "structured":
-        if steps == 0:
-            bits = [[] for _ in range(spec.r * spec.n)]
-            mems = []
-        else:
-            bits, mems = registers.run(spec, init, steps - 1)
+        bits, mems = registers.run(spec, init, steps)
         doc = {
             "spec": spec.to_dict(),
             "steps": steps,

@@ -204,7 +204,7 @@ class RegisterSpec:
 def _elem(e, n: int) -> tuple:
     """A field element as n bits; SpecError on any other length or entry."""
     e = tuple(e)
-    if len(e) != n or any(b not in (0, 1) for b in e):
+    if len(e) != n or any(b not in (0, 1) or isinstance(b, bool) for b in e):
         raise SpecError(f"field elements need {n} entries over {{0, 1}}, got {e!r}")
     return tuple(map(int, e))
 
@@ -298,22 +298,22 @@ def step(spec: RegisterSpec, state: RegisterState) -> RegisterState:
     return _stepper(spec)(state)
 
 
-def run(spec: RegisterSpec, init: RegisterState, steps: int):
-    """Trajectory as row-major traces: bits[rn][steps+1], mems[...][steps+1].
+def run(spec: RegisterSpec, init: RegisterState, count: int):
+    """The first count states as row-major traces: bits[rn][count], mems[...][count].
 
-    Column t is the state after t clocks; column 0 is the initial state.
+    Column t is the state after t clocks, as in output_rows(spec, init, count).
     All three modes step the expanded matrix B, keeping the nonzero entries of
     each row; Fibonacci carries run in the ring layout and are projected back
     onto the last cell.
     """
-    if steps < 0:
-        raise ValueError("steps must be >= 0")
+    if count < 0:
+        raise ValueError("count must be >= 0")
     spec._check_state(init)
     taps = [[(j, x) for j, x in enumerate(row) if x] for row in spec.big_matrix()]
     d = len(taps)
     a, m = list(init.a), _ring_carries(spec, init.m)
-    a_flat, m_flat = a[:], m[:]  # states back to back: no list per step
-    for _ in range(steps):
+    a_flat, m_flat = (a[:], m[:]) if count else ([], [])  # states back to back: no list per step
+    for _ in range(count - 1):
         sigma = m[:]
         for row in compress(taps, a):
             for j, x in row:

@@ -117,16 +117,16 @@ def _det_mod8(elem, P):
     return residue
 
 
-def _witness_achieves(spec: RegisterSpec, target: int) -> bool:
-    """True iff |det(I - 2B)| = target + 1, which certifies a period-target cell.
+def _witness_achieves(spec: RegisterSpec, q_tilde: int) -> bool:
+    """True iff |det(I - 2B)| = q_tilde, which certifies a cell of period q_tilde - 1.
 
     Cell i outputs p_i / q with q = det(I - 2B) and p = a_0 adj(I - 2B)
     (registers.closed_form), of period q~ - 1 unless p_i = 0 mod q~.  For an
-    l-norm q~ = target + 1 = |q|, I - 2B has Smith form diag(1, ..., 1, q~),
-    so adj(I - 2B) is nonzero mod q~ and some unit bit state e_k with zero
+    l-norm q~ = |q|, I - 2B has Smith form diag(1, ..., 1, q~), so
+    adj(I - 2B) is nonzero mod q~ and some unit bit state e_k with zero
     carries has such a cell.  A register of another norm is refused.
     """
-    return ring_connection_norm(spec.big_matrix())[1] == target + 1
+    return ring_connection_norm(spec.big_matrix())[1] == q_tilde
 
 
 def _matrix_norms(r: int, P):
@@ -229,7 +229,7 @@ def enumerate_family(family: str, r: int, poly=None) -> FamilyReport:
             spec = _spec(family, r, P, model)
             if spec is not None:  # a degenerate model (q_r = 0) has no register
                 l_norms[q_tilde] = spec
-    missing = [q for q, w in l_norms.items() if not _witness_achieves(w, q - 1)]
+    missing = [q for q, w in l_norms.items() if not _witness_achieves(w, q)]
     if missing:
         raise AssertionError(f"no witness with |det(I - 2B)| = q~ for norms {missing}")
     return FamilyReport(

@@ -74,7 +74,7 @@ def test_criterion_1_golden_example():
     det, q_tilde = ring_connection_norm(Q61_BIG_MATRIX)
     assert (det, q_tilde) == (-61, 61)
     init = spec.state(Q61_INIT_A, Q61_INIT_M)
-    bits, mems = run(spec, init, 91)
+    bits, mems = run(spec, init, 92)
     assert bits == Q61_OUTPUT_ROWS
     assert [row[:45] for row in mems] == Q61_MEMORY_ROWS
     _, period = detect_cycle(spec, init)
@@ -152,7 +152,7 @@ def test_criterion_5_numerator_oracle():
                     rat = closed_form_numerator(spec, init)
                     s, t = detect_cycle(spec, init)
                     count = 4 * (s + t)
-                    bits, _ = run(spec, init, count - 1)
+                    bits, _ = run(spec, init, count)
                     assert expand_2adic(rat.p, rat.q, count) == bits[0], (spec, init)
     assert time.monotonic() - start < 120.0
 
@@ -235,7 +235,7 @@ def test_criterion_8_memory_bounds():
         top = 10 * max(max(w), 1)
         a = tuple(rng.randint(0, 1) for _ in range(rn))
         m = tuple(rng.randint(0, top) for _ in range(rn))
-        _, mems = run(spec, spec.state(a, m), 64)
+        _, mems = run(spec, spec.state(a, m), 65)
         report = check_containment(mems, [wj + 1 for wj in w])
         assert all(c["contained"] for c in report), (spec, a, m)
     # the golden register: weights (3, 5, 1, 2), displayed traces contained
@@ -267,8 +267,8 @@ def test_criterion_9_mode_embedding():
                             tuple(rng.randint(0, 1) for _ in range(rn)),
                             tuple(rng.randint(0, 3) for _ in range(mlen)),
                         )
-                        b1, _ = run(spec, init, 40)
-                        b2, _ = run(ring, embed(init), 40)
+                        b1, _ = run(spec, init, 41)
+                        b2, _ = run(ring, embed(init), 41)
                         assert b1 == b2, (spec, init)
                         checks += 1
     assert checks >= 1000

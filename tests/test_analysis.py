@@ -167,8 +167,9 @@ def test_closed_form_numerator_matches_simulation():
                 tuple(rng.randint(0, 3) for _ in range(mlen)),
             )
             rat = closed_form_numerator(spec, init)
-            bits, _ = run(spec, init, 4 * r + 40)
-            assert expand_2adic(rat.p, rat.q, 4 * r + 41) == bits[0]
+            count = 4 * r + 41
+            bits, _ = run(spec, init, count)
+            assert expand_2adic(rat.p, rat.q, count) == bits[0]
 
 
 def test_memory_bounds_reference():

@@ -98,13 +98,42 @@ def test_simulate_zero_steps(q61_spec_file, capsys):
 
 
 def test_simulate_zero_steps_structured(q61_spec_file, capsys):
-    # rn empty bit rows; the memory trace has no rows at all
+    # rn empty bit rows and one empty memory row per carry
     rc = main(["simulate", "--spec", q61_spec_file, "--steps", "0", "--format", "structured"])
     assert rc == 0
     assert capsys.readouterr().out == (
-        '{"bits": [[], [], [], []], "memory": [], "spec": {"T": [["01", "01"], ["11", "00"]],'
+        '{"bits": [[], [], [], []], "memory": [[], [], [], []],'
+        ' "spec": {"T": [["01", "01"], ["11", "00"]],'
         ' "base": "vectorial", "mode": "ring", "poly": "-1,-1,1", "r": 2}, "steps": 0}\n'
     )
+
+
+QUADRATIC_SPECS = [
+    {"base": "vectorial", "mode": "fibonacci", "r": 2, "poly": "-1,-1,1", "q": ["11", "01"]},
+    {"base": "vectorial", "mode": "galois", "r": 2, "poly": "-1,-1,1", "q": ["11", "01"]},
+    Q61_SPEC,
+]
+BINARY_SPECS = [
+    binary_spec("fibonacci", [1, 1]).to_dict(),
+    binary_spec("galois", [1, 1]).to_dict(),
+    binary_spec("ring", [[1, 1], [1, 0]]).to_dict(),
+]
+
+
+@pytest.mark.parametrize("steps", [0, 1, 2])
+@pytest.mark.parametrize("spec_dict", BINARY_SPECS + QUADRATIC_SPECS,
+                         ids=lambda d: f"{d['base']}-{d['mode']}")
+def test_simulate_structured_shape(tmp_path, capsys, spec_dict, steps):
+    # rn bit rows and one memory row per carry, each with one entry per step
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec_dict))
+    spec = RegisterSpec.from_dict(spec_dict)
+    rc = main(["simulate", "--spec", str(path), "--steps", str(steps), "--format", "structured"])
+    assert rc == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert len(doc["bits"]) == spec.r * spec.n
+    assert len(doc["memory"]) == spec.carry_count
+    assert all(len(row) == steps for row in doc["bits"] + doc["memory"])
 
 
 def test_simulate_negative_steps(q61_spec_file, capsys):

@@ -139,15 +139,15 @@ def test_fibonacci_embeds_into_ring():
         a = tuple(rng.randint(0, 1) for _ in range(4))
         m = tuple(rng.randint(0, 2) for _ in range(2))
         init = spec.state(a, m)
-        b1, _ = run(spec, init, 30)
-        b2, _ = run(ring, embed(init), 30)
+        b1, _ = run(spec, init, 31)
+        b2, _ = run(ring, embed(init), 31)
         assert b1 == b2
 
 
 def test_run_zero_steps():
     spec = q61_spec()
     init = spec.state(Q61_INIT_A, Q61_INIT_M)
-    bits, mems = run(spec, init, 0)
+    bits, mems = run(spec, init, 1)
     assert [row[0] for row in bits] == list(Q61_INIT_A)
     assert [row[0] for row in mems] == list(Q61_INIT_M)
     assert all(len(row) == 1 for row in bits)
@@ -156,7 +156,7 @@ def test_run_zero_steps():
 def test_run_is_deterministic():
     spec = q61_spec()
     init = spec.state(Q61_INIT_A, Q61_INIT_M)
-    assert run(spec, init, 50) == run(spec, init, 50)
+    assert run(spec, init, 51) == run(spec, init, 51)
 
 
 def test_negative_carries_use_floor_semantics():
@@ -185,7 +185,7 @@ def test_detect_cycle_alternating_sequence():
     init = spec.state((1, 0), (0,))
     s, t = detect_cycle(spec, init)
     assert (s, t) == (0, 2)
-    bits, _ = run(spec, init, 5)
+    bits, _ = run(spec, init, 6)
     assert bits[0] == [1, 0, 1, 0, 1, 0]
 
 
@@ -286,10 +286,15 @@ B = gf2n.binary_modulus()
     (lambda: RegisterSpec.from_dict({"base": "binary", "mode": "galois", "r": 1, "poly": "111",
                                      "q": ["1"]}),
      "binary specs use the degree-1 modulus"),
+    # True would run as the bit 1; state entries refuse it too
+    (lambda: RegisterSpec(base="binary", mode="ring", r=1, poly=B, matrix=(((True,),),)),
+     "field elements need 1 entries"),
+    (lambda: RegisterSpec(base="binary", mode="galois", r=1, poly=B, coeffs=((True,),)),
+     "field elements need 1 entries"),
     (lambda: gf2n.BinaryPolynomial((1,)), "degree must be at least 1"),
     (lambda: factorize(0), "factorize needs n >= 1"),
     (lambda: expand((((1,), (0,)),), B), "field matrix must be square"),
-    (lambda: run(q61_spec(), q61_spec().zero_state(), -1), "steps must be >= 0"),
+    (lambda: run(q61_spec(), q61_spec().zero_state(), -1), "count must be >= 0"),
     (lambda: output_rows(q61_spec(), q61_spec().zero_state(), -1), "count must be >= 0"),
     (lambda: det_adj_left([[1, 0], [0, 1]], [1]), "v of matching length"),
 ])
@@ -321,6 +326,6 @@ def test_exhaustive_mode_embedding_small():
                     a = tuple(rng.randint(0, 1) for _ in range(r * P.n))
                     m = tuple(rng.randint(0, 2) for _ in range(mlen))
                     init = spec.state(a, m)
-                    b1, _ = run(spec, init, 25)
-                    b2, _ = run(ring, embed(init), 25)
+                    b1, _ = run(spec, init, 26)
+                    b2, _ = run(ring, embed(init), 26)
                     assert b1 == b2

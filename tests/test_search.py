@@ -111,9 +111,9 @@ def test_enumerate_rejects_unknown_family():
 
 def test_witness_is_certified_for_its_own_norm_only():
     spec = RegisterSpec(base="vectorial", mode="ring", r=2, poly=quadratic(), matrix=Q61_FIELD_MATRIX)
-    assert _witness_achieves(spec, 60)
+    assert _witness_achieves(spec, 61)
     # 59 is an l-norm too, but no cell of the q~ = 61 register has period 58
-    assert not _witness_achieves(spec, 58)
+    assert not _witness_achieves(spec, 59)
 
 
 def test_csv_rows_shape():
