@@ -10,6 +10,7 @@ All step functions are pure: state in, state out.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from itertools import compress
 
@@ -302,29 +303,55 @@ def run(spec: RegisterSpec, init: RegisterState, count: int):
     """The first count states as row-major traces: bits[rn][count], mems[...][count].
 
     Column t is the state after t clocks, as in output_rows(spec, init, count).
-    All three modes step the expanded matrix B, keeping the nonzero entries of
-    each row; Fibonacci carries run in the ring layout and are projected back
-    onto the last cell.
+    All three modes clock a(t+1) + 2m(t+1) = a(t).B + m(t) on the expanded
+    matrix B; Fibonacci carries run in the ring layout and are projected back
+    onto the last cell.  A state is two ints of one w-bit field per coordinate:
+    the bits, and the carries plus 2^(w-1).  As |m(t)| <= M = max(|m(0)|, the
+    largest column sum of |B|) and |sigma| <= 2M, w = 8 wb with M < 2^(w-2)
+    never overflows a field.
     """
     if count < 0:
         raise ValueError("count must be >= 0")
     spec._check_state(init)
-    taps = [[(j, x) for j, x in enumerate(row) if x] for row in spec.big_matrix()]
-    d = len(taps)
-    a, m = list(init.a), _ring_carries(spec, init.m)
-    a_flat, m_flat = (a[:], m[:]) if count else ([], [])  # states back to back: no list per step
-    for _ in range(count - 1):
-        sigma = m[:]
-        for row in compress(taps, a):
-            for j, x in row:
-                sigma[j] += x
-        a = [s & 1 for s in sigma]
-        m = [s >> 1 for s in sigma]
-        a_flat += a
-        m_flat += m
-    bits = [a_flat[i::d] for i in range(d)]
-    del a_flat  # so that at most one flat trace is held next to the rows
-    return bits, [m_flat[i::d] for i in range(d - len(init.m), d)]
+    big = spec.big_matrix()
+    d = len(big)
+    m0 = _ring_carries(spec, init.m)
+    bound = max(max(map(abs, m0)), max(sum(map(abs, col)) for col in zip(*big)))
+    wb = (bound.bit_length() + 9) // 8
+    wb = 1 << (wb - 1).bit_length() if wb <= 8 else wb  # 1, 2, 4 or 8: a memoryview format
+    w, nb = 8 * wb, d * wb
+
+    def pack(xs):  # entry j in the field at bit w*j
+        return sum(x << w * j for j, x in enumerate(xs))
+
+    low, key = pack([1] * d), pack([1] * 8)
+    half, top = low << w - 2, low << w - 1
+    a, m = pack(init.a), pack(m0) + top
+    chunks = []  # (shift, {bits of 8 coordinates: sum of their rows of B})
+    for c in range(0, d, 8):
+        table = {0: 0}
+        for i, row in enumerate(map(pack, big[c : c + 8])):
+            table.update([(k | 1 << w * i, v + row) for k, v in table.items()])
+        chunks.append((w * c, table))
+    a_trace, m_trace = bytearray(), bytearray()
+    # one table lookup per 8 bits adds the rows of B they select; each field of
+    # s - a is even and non-negative, so halving borrows nothing.  The carries
+    # go to the trace in two's complement.  The last clock is not kept.
+    for _ in range(count):
+        a_trace += a.to_bytes(nb, "little")
+        m_trace += (m ^ top).to_bytes(nb, "little")
+        s = m
+        for shift, table in chunks:
+            s += table[a >> shift & key]
+        a = s & low
+        m = (s - a >> 1) + half
+    bits = [list(a_trace[wb * i :: nb]) for i in range(d)]
+    rows = range(d - len(init.m), d)
+    if wb <= 8 and sys.byteorder == "little":  # the cast reads native order
+        view = memoryview(m_trace).cast({1: "b", 2: "h", 4: "i", 8: "q"}[wb])
+        return bits, [view[i::d].tolist() for i in rows]
+    return bits, [[int.from_bytes(m_trace[k : k + wb], "little", signed=True)
+                   for k in range(wb * i, len(m_trace), nb)] for i in rows]
 
 
 def _ring_carries(spec: RegisterSpec, m) -> list:

@@ -14,6 +14,7 @@ import os
 import tempfile
 from itertools import product
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -23,6 +24,7 @@ from vfcr.cli import main
 from vfcr.exactmath import det_exact, is_primitive_root_2, is_probable_prime, multiplicative_order
 from vfcr.registers import (
     FIBONACCI,
+    GALOIS,
     MODES,
     RING,
     RegisterSpec,
@@ -128,6 +130,36 @@ def test_output_rows_match_stepper(reg, count):
 def test_run_matches_stepper(reg, count):
     spec, init = reg
     assert run(spec, init, count) == stepped(spec, init, count)
+
+
+def wide_specs(lift):
+    """One register per mode over lift (None: binary), r = 2, every field element all ones."""
+    P = gf2n.binary_modulus() if lift is None else gf2n.BinaryPolynomial.parse(lift)
+    ones, base = (1,) * P.n, "binary" if lift is None else "vectorial"
+    yield RegisterSpec(base=base, mode=RING, r=2, poly=P, matrix=((ones, ones), (ones, ones)))
+    for mode in (FIBONACCI, GALOIS):
+        yield RegisterSpec(base=base, mode=mode, r=2, poly=P, coeffs=(ones, ones))
+
+
+# run packs each carry into a field of 1, 2, 4, 8 or more bytes, by the largest carry.
+# Over "65,1,1" (X^2 = -65 - X) a column sum of 67 meets a carry of -64: sigma = -129.
+@pytest.mark.parametrize("lift", (None, "-1,-1,1", "-7,5,1", "250001,-1,1", "65,1,1"))
+@pytest.mark.parametrize("k", (6, 7, 14, 15, 30, 31, 62, 63, 70))
+def test_run_matches_stepper_on_wide_carries(lift, k):
+    for spec in wide_specs(lift):
+        rn, mlen = spec.r * spec.n, spec.carry_count
+        a = [j % 2 for j in range(rn)]
+        for sign in (1, -1):
+            init = spec.state(a, [sign * (-1) ** j << k for j in range(mlen)])
+            for count in (0, 1, 2, 90):
+                assert run(spec, init, count) == stepped(spec, init, count)
+
+
+def test_simulate_prints_wide_carries_as_the_stepper():
+    spec = next(wide_specs("-7,5,1"))
+    init = spec.state((1, 0, 1, 1), (1 << 70, -(1 << 63), 5, -(1 << 62)))
+    assert simulate_stdout(spec, init, 90, "structured") == (
+        0, stepped_stdout(spec, init, 90, "structured"))
 
 
 @settings(max_examples=60, deadline=None)
