@@ -249,8 +249,7 @@ def analyze(
         report.rationals = [Rational2Adic(x, q_tilde).reduce() for x in p]
         report.preperiod = max(_preperiod(x, q_tilde) for x in p)
         den = math.lcm(*(x.q for x in report.rationals))
-        reuse = den == q_tilde and report.order is not None
-        report.period = report.order if reuse else multiplicative_order(den, rho_budget)
+        report.period = multiplicative_order(den, rho_budget)
         if report.preperiod + report.period > CYCLE_BUDGET:
             raise StepBudgetExceeded(
                 f"preperiod {report.preperiod} + period {report.period}"

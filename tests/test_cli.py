@@ -410,24 +410,6 @@ def test_analyze_prints_the_frozen_document(tmp_path, capsys, spec, args, expect
     assert capsys.readouterr().out == expected + "\n"
 
 
-def test_reconstruct_reuses_the_order_as_the_period(tmp_path, capsys, monkeypatch):
-    """den == q~ (the usual case): ord_q~(2) is both order and period, computed once."""
-    calls = []
-
-    def spy(*args):
-        calls.append(args)
-        return order(*args)
-
-    order = analysis.multiplicative_order
-    monkeypatch.setattr(analysis, "multiplicative_order", spy)
-    spec, args, expected = next(p.values for p in ANALYZE_DOCUMENTS if p.id == "q61-reconstruct")
-    path = tmp_path / "spec.json"
-    path.write_text(json.dumps(spec))
-    assert main(["analyze", "--spec", str(path)] + args) == 0
-    assert capsys.readouterr().out == expected + "\n"
-    assert [q for q, _ in calls] == [61]
-
-
 # vfcsr enumerations whose stdout no benchmark digest covers: sha256, frozen
 @pytest.mark.parametrize("args, digest", [
     (["vfcsr-q-fib", "--r", "3"],
