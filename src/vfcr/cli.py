@@ -55,6 +55,24 @@ def _pack_bytes(rows, count: int) -> bytes:
     return int(flat[::-1], 2).to_bytes((len(flat) + 7) // 8, "little")
 
 
+_BIT_TEXT = bytes.maketrans(b"\x00\x01", b"01")
+_CARRY_TEXT = ['"%d", ' % (b - (b >> 7 << 8)) for b in range(256)]  # byte b: its signed value
+
+
+def _bit_row(row: bytes) -> str:
+    """A row of 0/1 bytes as a JSON list of ints."""
+    text = bytearray(b"0, " * len(row))
+    text[::3] = row.translate(_BIT_TEXT)
+    return "[" + text[:-2].decode() + "]"
+
+
+def _carry_row(row) -> str:
+    """A carry row as a JSON list of decimal strings."""
+    if getattr(row, "itemsize", 0) == 1:  # one table entry per byte: no int or str is made
+        return "[" + "".join([_CARRY_TEXT[b] for b in row.tobytes()])[:-2] + "]"
+    return '["' + '", "'.join(map(str, row)) + '"]' if row else "[]"
+
+
 def cmd_simulate(args) -> int:
     spec = _load_spec(args)
     init = _load_init(args, spec)
@@ -62,15 +80,10 @@ def cmd_simulate(args) -> int:
     if steps < 0:
         raise SpecError("--steps must be >= 0")
     out = sys.stdout
-    if args.format == "structured":
+    if args.format == "structured":  # json.dumps(doc, sort_keys=True), from run's packed rows
         bits, mems = registers.run(spec, init, steps)
-        doc = {
-            "spec": spec.to_dict(),
-            "steps": steps,
-            "bits": bits,
-            "memory": [[str(x) for x in row] for row in mems],
-        }
-        _print_json(doc)
+        out.write('{"bits": [%s], "memory": [%s], "spec": %s, "steps": %d}\n' % (
+            ", ".join(map(_bit_row, bits)), ", ".join(map(_carry_row, mems)), spec.to_json(), steps))
         return EXIT_OK
     if args.format == "bytes" and spec.n > 8:
         raise SpecError("bytes format needs n <= 8")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import sys
+from array import array
 from dataclasses import dataclass
 from itertools import compress
 
@@ -46,13 +47,9 @@ class RegisterState:
     def __post_init__(self):
         for name in ("a", "m"):
             xs = tuple(getattr(self, name))
-            try:
-                ints = tuple(map(int, xs))
-            except (OverflowError, ValueError) as exc:
-                raise SpecError(f"state entries must be integers ({exc})") from exc
-            if ints != xs or any(isinstance(x, bool) for x in xs):  # 1.5, "1", true run as 1
+            if any(type(x) is not int for x in xs):  # 1.0, 1e300, "1" and true would run as ints
                 raise SpecError("state entries must be integers")
-            object.__setattr__(self, name, ints)
+            object.__setattr__(self, name, xs)
         if any(b not in (0, 1) for b in self.a):
             raise SpecError("main register entries must be bits")
 
@@ -303,6 +300,9 @@ def run(spec: RegisterSpec, init: RegisterState, count: int):
     """The first count states as row-major traces: bits[rn][count], mems[...][count].
 
     Column t is the state after t clocks, as in output_rows(spec, init, count).
+    A bit row is bytes, one byte of value 0 or 1 per column; a carry row is an
+    array of the signed w-bit type ('b', 'h', 'i' or 'q'), or a list of ints
+    when w > 64 or the host is big-endian.  list(row) gives the ints.
     All three modes clock a(t+1) + 2m(t+1) = a(t).B + m(t) on the expanded
     matrix B, count - 1 times; Fibonacci carries run in the ring layout and are
     projected back onto the last cell.  A state is two ints of one w-bit field
@@ -348,11 +348,12 @@ def run(spec: RegisterSpec, init: RegisterState, count: int):
             m = (s - a >> 1) + half
         a_trace += a.to_bytes(nb, "little")
         m_trace += (m ^ top).to_bytes(nb, "little")
-    bits = [list(a_trace[wb * i :: nb]) for i in range(d)]
+    bits = [bytes(a_trace[wb * i :: nb]) for i in range(d)]
     rows = range(d - len(init.m), d)
     if wb <= 8 and sys.byteorder == "little":  # the cast reads native order
-        view = memoryview(m_trace).cast({1: "b", 2: "h", 4: "i", 8: "q"}[wb])
-        return bits, [view[i::d].tolist() for i in rows]
+        code = {1: "b", 2: "h", 4: "i", 8: "q"}[wb]
+        view = memoryview(m_trace).cast(code)
+        return bits, [array(code, view[i::d].tobytes()) for i in rows]
     return bits, [[int.from_bytes(m_trace[k : k + wb], "little", signed=True)
                    for k in range(wb * i, len(m_trace), nb)] for i in rows]
 

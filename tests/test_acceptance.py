@@ -27,6 +27,7 @@ from golden_data import (
     QUADRATIC_TRIPLETS,
     TRIPLET_ERRATA,
 )
+from traces import listed
 from vfcr import analysis, gf2n, registers, search
 from vfcr.analysis import (
     check_containment,
@@ -74,7 +75,7 @@ def test_criterion_1_golden_example():
     det, q_tilde = ring_connection_norm(Q61_BIG_MATRIX)
     assert (det, q_tilde) == (-61, 61)
     init = spec.state(Q61_INIT_A, Q61_INIT_M)
-    bits, mems = run(spec, init, 92)
+    bits, mems = listed(run(spec, init, 92))
     assert bits == Q61_OUTPUT_ROWS
     assert [row[:45] for row in mems] == Q61_MEMORY_ROWS
     _, period = detect_cycle(spec, init)
@@ -152,7 +153,7 @@ def test_criterion_5_numerator_oracle():
                     rat = closed_form_numerator(spec, init)
                     s, t = detect_cycle(spec, init)
                     count = 4 * (s + t)
-                    bits, _ = run(spec, init, count)
+                    bits, _ = listed(run(spec, init, count))
                     assert expand_2adic(rat.p, rat.q, count) == bits[0], (spec, init)
     assert time.monotonic() - start < 120.0
 
@@ -201,7 +202,7 @@ def test_criterion_7_denominator_divisibility():
             tuple(rng.randint(0, 3) for _ in range(rn)),
         )
         s, t = detect_cycle(spec, init)
-        bits, _ = run(spec, init, s + t)
+        bits, _ = listed(run(spec, init, s + t))
         for row in bits:
             rat = sequence_to_rational(row, s, t)
             assert q_tilde % rat.q == 0, (spec, init, rat)
@@ -235,7 +236,7 @@ def test_criterion_8_memory_bounds():
         top = 10 * max(max(w), 1)
         a = tuple(rng.randint(0, 1) for _ in range(rn))
         m = tuple(rng.randint(0, top) for _ in range(rn))
-        _, mems = run(spec, spec.state(a, m), 65)
+        _, mems = listed(run(spec, spec.state(a, m), 65))
         report = check_containment(mems, [wj + 1 for wj in w])
         assert all(c["contained"] for c in report), (spec, a, m)
     # the golden register: weights (3, 5, 1, 2), displayed traces contained
@@ -267,8 +268,8 @@ def test_criterion_9_mode_embedding():
                             tuple(rng.randint(0, 1) for _ in range(rn)),
                             tuple(rng.randint(0, 3) for _ in range(mlen)),
                         )
-                        b1, _ = run(spec, init, 41)
-                        b2, _ = run(ring, embed(init), 41)
+                        b1, _ = listed(run(spec, init, 41))
+                        b2, _ = listed(run(ring, embed(init), 41))
                         assert b1 == b2, (spec, init)
                         checks += 1
     assert checks >= 1000

@@ -10,6 +10,7 @@ from golden_data import (
     Q61_MEMORY_ROWS,
     Q61_WEIGHTS,
 )
+from traces import listed
 from vfcr import analysis, gf2n, registers
 from vfcr.analysis import (
     Rational2Adic,
@@ -168,7 +169,7 @@ def test_closed_form_numerator_matches_simulation():
             )
             rat = closed_form_numerator(spec, init)
             count = 4 * r + 41
-            bits, _ = run(spec, init, count)
+            bits, _ = listed(run(spec, init, count))
             assert expand_2adic(rat.p, rat.q, count) == bits[0]
 
 

@@ -484,7 +484,7 @@ def test_exhaustive_search_prints_the_frozen_hits(capsys, args, expected):
         ({"poly": 5}, None),
         ({}, '{"a": [1.5, 0, 0, 0], "m": [0, 0, 0, 0]}'),  # not truncated to 1
         ({}, '{"a": [1, 0, 0, 0], "m": [0.7, 0, 0, 0]}'),
-        ({}, '{"a": [1, 0, 0, 0], "m": [Infinity, 0, 0, 0]}'),  # OverflowError in int()
+        ({}, '{"a": [1, 0, 0, 0], "m": [Infinity, 0, 0, 0]}'),  # a float with no int value
         ({}, '{"a": [true, 0, 0, 0], "m": [0, 0, 0, 0]}'),  # not run as 1
         ({"base": "binary", "r": 1, "poly": "11", "T": ["1"]}, None),  # a row as a string
         ({"r": "2"}, None),
@@ -498,6 +498,17 @@ def test_malformed_input_exits_2(tmp_path, capsys, spec_change, init):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["simulate", "analyze"])
+@pytest.mark.parametrize("init", [
+    '{"a": [1, 0, 1, 0], "m": [0, 0, 1e300, 0]}',  # ran with the float's binary value, not 10^300
+    '{"a": [1, 0, 1, 0], "m": [0, 0, 1.0, 0]}',
+    '{"a": [1.0, 0, 1, 0], "m": [0, 0, 0, 0]}',
+])
+def test_float_state_entries_exit_2(q61_spec_file, capsys, command, init):
+    assert main([command, "--spec", q61_spec_file, "--init", init]) == 2
+    assert capsys.readouterr() == ("", "error: state entries must be integers\n")
 
 
 @pytest.mark.parametrize("r", ["0", "-1"])

@@ -11,8 +11,10 @@ import contextlib
 import io
 import json
 import os
+import sys
 import tempfile
 import tracemalloc
+from array import array
 from itertools import product
 
 import pytest
@@ -38,6 +40,8 @@ from vfcr.registers import (
     step,
 )
 from vfcr.search import _witness_achieves
+
+from traces import listed
 
 # None is the binary modulus; the rest are lifts of degree 2 and 3
 LIFTS = (None, "111", "-1,-1,1", "1101", "-1,1,0,1")
@@ -130,7 +134,7 @@ def test_output_rows_match_stepper(reg, count):
 @given(registers(), STEPS)
 def test_run_matches_stepper(reg, count):
     spec, init = reg
-    assert run(spec, init, count) == stepped(spec, init, count)
+    assert listed(run(spec, init, count)) == stepped(spec, init, count)
 
 
 def wide_specs(lift):
@@ -142,18 +146,28 @@ def wide_specs(lift):
         yield RegisterSpec(base=base, mode=mode, r=2, poly=P, coeffs=(ones, ones))
 
 
-# run packs each carry into a field of 1, 2, 4, 8 or more bytes, by the largest carry.
+# run packs each carry into a field of 1, 2, 4, 8 or more bytes, by the largest
+# of |carry| and B's column sums.  Carries of +-2^k with k = 5 take 1-byte fields,
+# 6 and 7 2-byte, 14 and 15 4-byte, 30 and 31 8-byte; 62, 63 and 70 are wider
+# and come back as lists of ints.
+FIELD_BYTES = {5: 1, 6: 2, 7: 2, 14: 4, 15: 4, 30: 8, 31: 8, 62: None, 63: None, 70: None}
+
+
+def wide_init(spec, k, sign):
+    """Alternating bits and carries of sign * +-2^k."""
+    a = [j % 2 for j in range(spec.r * spec.n)]
+    return spec.state(a, [sign * (-1) ** j << k for j in range(spec.carry_count)])
+
+
 # Over "65,1,1" (X^2 = -65 - X) a column sum of 67 meets a carry of -64: sigma = -129.
 @pytest.mark.parametrize("lift", (None, "-1,-1,1", "-7,5,1", "250001,-1,1", "65,1,1"))
 @pytest.mark.parametrize("k", (6, 7, 14, 15, 30, 31, 62, 63, 70))
 def test_run_matches_stepper_on_wide_carries(lift, k):
     for spec in wide_specs(lift):
-        rn, mlen = spec.r * spec.n, spec.carry_count
-        a = [j % 2 for j in range(rn)]
         for sign in (1, -1):
-            init = spec.state(a, [sign * (-1) ** j << k for j in range(mlen)])
+            init = wide_init(spec, k, sign)
             for count in (0, 1, 2, 90):
-                assert run(spec, init, count) == stepped(spec, init, count)
+                assert listed(run(spec, init, count)) == stepped(spec, init, count)
 
 
 def test_run_tables_stay_small_on_wide_fields():
@@ -170,7 +184,7 @@ def test_run_tables_stay_small_on_wide_fields():
     finally:
         tracemalloc.stop()
     assert peak < 6 << 20
-    assert traces == stepped(spec, init, 100)
+    assert listed(traces) == stepped(spec, init, 100)
 
 
 def test_simulate_prints_wide_carries_as_the_stepper():
@@ -178,6 +192,27 @@ def test_simulate_prints_wide_carries_as_the_stepper():
     init = spec.state((1, 0, 1, 1), (1 << 70, -(1 << 63), 5, -(1 << 62)))
     assert simulate_stdout(spec, init, 90, "structured") == (
         0, stepped_stdout(spec, init, 90, "structured"))
+
+
+@pytest.mark.parametrize("k", FIELD_BYTES)
+def test_run_rows_are_packed(k):
+    for spec in wide_specs("-7,5,1"):
+        bits, mems = run(spec, wide_init(spec, k, -1), 3)
+        assert {type(row) for row in bits} == {bytes}
+        if FIELD_BYTES[k] is None or sys.byteorder == "big":
+            assert {type(row) for row in mems} == {list}
+        else:
+            assert {(type(row), row.itemsize) for row in mems} == {(array, FIELD_BYTES[k])}
+
+
+@pytest.mark.parametrize("k", FIELD_BYTES)
+def test_simulate_prints_every_field_width_as_the_stepper(k):
+    for spec in wide_specs("-7,5,1"):
+        for sign in (1, -1):
+            init = wide_init(spec, k, sign)
+            for count in (0, 1, 2, 90):
+                assert simulate_stdout(spec, init, count, "structured") == (
+                    0, stepped_stdout(spec, init, count, "structured"))
 
 
 @settings(max_examples=60, deadline=None)
@@ -210,7 +245,7 @@ def test_analyze_reconstruct_matches_cycle_walk(reg):
     # Brent walks at least preperiod + period steps, so CYCLE_BUDGET holds too
     report = analyze(spec, init, reconstruct=True)
     assert (report.preperiod, report.period) == (s, t)
-    bits, _ = run(spec, init, s + t)
+    bits, _ = listed(run(spec, init, s + t))
     assert report.rationals == [sequence_to_rational(row, s, t) for row in bits]
 
 
@@ -257,7 +292,7 @@ def brute_force_witness(spec, target):
         if any(a):
             init = spec.state(a, m)
             s, t = detect_cycle(spec, init)
-            bits, _ = run(spec, init, s + t)
+            bits, _ = listed(run(spec, init, s + t))
             if max(minimal_period(row, s, t) for row in bits) == target:
                 return True
     return False

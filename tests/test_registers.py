@@ -9,6 +9,7 @@ from golden_data import (
     Q61_INIT_A,
     Q61_INIT_M,
 )
+from traces import listed
 from vfcr import gf2n
 from vfcr.analysis import analyze
 from vfcr.exactmath import det_adj_left, factorize
@@ -139,15 +140,15 @@ def test_fibonacci_embeds_into_ring():
         a = tuple(rng.randint(0, 1) for _ in range(4))
         m = tuple(rng.randint(0, 2) for _ in range(2))
         init = spec.state(a, m)
-        b1, _ = run(spec, init, 31)
-        b2, _ = run(ring, embed(init), 31)
+        b1, _ = listed(run(spec, init, 31))
+        b2, _ = listed(run(ring, embed(init), 31))
         assert b1 == b2
 
 
 def test_run_zero_steps():
     spec = q61_spec()
     init = spec.state(Q61_INIT_A, Q61_INIT_M)
-    bits, mems = run(spec, init, 1)
+    bits, mems = listed(run(spec, init, 1))
     assert [row[0] for row in bits] == list(Q61_INIT_A)
     assert [row[0] for row in mems] == list(Q61_INIT_M)
     assert all(len(row) == 1 for row in bits)
@@ -185,7 +186,7 @@ def test_detect_cycle_alternating_sequence():
     init = spec.state((1, 0), (0,))
     s, t = detect_cycle(spec, init)
     assert (s, t) == (0, 2)
-    bits, _ = run(spec, init, 6)
+    bits, _ = listed(run(spec, init, 6))
     assert bits[0] == [1, 0, 1, 0, 1, 0]
 
 
@@ -326,6 +327,6 @@ def test_exhaustive_mode_embedding_small():
                     a = tuple(rng.randint(0, 1) for _ in range(r * P.n))
                     m = tuple(rng.randint(0, 2) for _ in range(mlen))
                     init = spec.state(a, m)
-                    b1, _ = run(spec, init, 26)
-                    b2, _ = run(ring, embed(init), 26)
+                    b1, _ = listed(run(spec, init, 26))
+                    b2, _ = listed(run(ring, embed(init), 26))
                     assert b1 == b2
