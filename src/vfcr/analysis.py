@@ -8,7 +8,7 @@ in registers, without clocking the register), and carry-range bounds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import gf2n, registers
 from .exactmath import DEFAULT_RHO_BUDGET, FactorBudgetExceeded, det_exact, multiplicative_order
@@ -24,16 +24,15 @@ from .registers import (
 )
 
 
-@dataclass(frozen=True)
-class Rational2Adic:
+class Rational2Adic(namedtuple("Rational2Adic", "p q")):
     """A 2-adic rational p/q with odd positive denominator."""
 
-    p: int
-    q: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.q <= 0 or self.q % 2 == 0:
+    def __new__(cls, p, q):
+        if q <= 0 or q % 2 == 0:
             raise ValueError("denominator must be odd and positive")
+        return super().__new__(cls, p, q)
 
     def reduce(self) -> "Rational2Adic":
         g = math.gcd(self.p, self.q)
@@ -170,27 +169,27 @@ def check_containment(mem_rows, w):
     return report
 
 
-@dataclass
 class AnalysisReport:
-    """Everything the 2-adic analysis can say about one register spec."""
+    """Everything the 2-adic analysis can say about one register spec.
 
-    spec: RegisterSpec
-    q_tilde: int
-    det_i_minus_2t: int
-    weights: tuple
-    connection_integer: tuple | None = None
-    connection_vector: tuple | None = None
-    connection_matrix: tuple | None = None
-    order: int | None = None
-    order_unavailable: str | None = None
-    feedback_corner: tuple | None = None  # t_{1,r} for ring specs
-    rationals: list | None = None
-    preperiod: int | None = None
-    period: int | None = None
+    The optional fields stay None until analyze sets them.
+    """
+
+    connection_integer = connection_vector = connection_matrix = None
+    order = order_unavailable = None
+    feedback_corner = None  # t_{1,r} for ring specs
+    rationals = preperiod = period = None
+
+    def __init__(self, spec: RegisterSpec, q_tilde: int, det_i_minus_2t: int, weights: tuple):
+        self.spec = spec
+        self.q_tilde = q_tilde
+        self.det_i_minus_2t = det_i_minus_2t
+        self.weights = weights
 
     def to_dict(self):
         """Every set field, its integers as decimal strings; order "unavailable" when unset."""
-        d = {k: _decimal(v) for k, v in vars(self).items() if v is not None}
+        d = {k: _decimal(v) for k, v in vars(self).items()
+             if v is not None and k not in ("spec", "feedback_corner", "rationals")}
         d["spec"] = self.spec.to_dict()
         d.setdefault("order", "unavailable")
         if self.feedback_corner is not None:

@@ -103,7 +103,17 @@ def cmd_simulate(args) -> int:
 def cmd_analyze(args) -> int:
     spec = _load_spec(args)
     report = analysis.analyze(spec, _load_init(args, spec), args.reconstruct, args.budget)
-    _print_json(report.to_dict())
+    # an exact answer may outgrow the int-to-str digit limit (Python >= 3.10.7) that its
+    # input kept to; lift it for this document only
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        doc = report.to_dict()
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+    _print_json(doc)
     return EXIT_OK
 
 

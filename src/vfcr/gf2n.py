@@ -12,7 +12,7 @@ product mod 2, and the irreducibility test on P multiplies through it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import lru_cache
 from operator import mul
 
@@ -43,30 +43,32 @@ def _is_irreducible(P: BinaryPolynomial) -> bool:
                for d in factorize(n))
 
 
-@dataclass(frozen=True)
-class BinaryPolynomial:
+class BinaryPolynomial(namedtuple("BinaryPolynomial", "coeffs n")):
     """Monic modulus with signed integer coefficients, irreducible mod 2.
 
-    ``coeffs`` is the lift in Z[X] (constant term first, length n+1).
+    ``coeffs`` is the lift in Z[X] (constant term first, length n+1); n is
+    derived from it, so a call takes ``coeffs`` alone.
     Reduction mod 2 must be irreducible with nonzero constant term, which is
     all the analysis asks of P; Rabin's test decides it through ``gf_mul``.
     """
 
-    coeffs: tuple
-    n: int = field(init=False, repr=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        coeffs = tuple(int(c) for c in self.coeffs)
+    def __new__(cls, coeffs):
+        coeffs = tuple(int(c) for c in coeffs)
         if len(coeffs) < 2:
             raise PolynomialError("degree must be at least 1")
         if coeffs[-1] != 1:
             raise PolynomialError("modulus must be monic")
         if coeffs[0] % 2 == 0:
             raise PolynomialError("constant term must be odd")
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "n", len(coeffs) - 1)
+        self = super().__new__(cls, coeffs, len(coeffs) - 1)
         if not _is_irreducible(self):
             raise PolynomialError("modulus is reducible over F2")
+        return self
+
+    def __getnewargs__(self):  # pickle and copy call __new__ with these
+        return (self.coeffs,)
 
     @classmethod
     def from_bits(cls, bits: str) -> "BinaryPolynomial":

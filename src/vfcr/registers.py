@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import sys
 from array import array
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import compress
 
 from . import gf2n
@@ -37,25 +37,21 @@ class StepBudgetExceeded(RuntimeError):
 CYCLE_BUDGET = 10**6
 
 
-@dataclass(frozen=True)
-class RegisterState:
+class RegisterState(namedtuple("RegisterState", "a m")):
     """Main register bits and integer carries, flattened per the cell-major order."""
 
-    a: tuple
-    m: tuple
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in ("a", "m"):
-            xs = tuple(getattr(self, name))
-            if any(type(x) is not int for x in xs):  # 1.0, 1e300, "1" and true would run as ints
-                raise SpecError("state entries must be integers")
-            object.__setattr__(self, name, xs)
-        if any(b not in (0, 1) for b in self.a):
+    def __new__(cls, a, m):
+        a, m = tuple(a), tuple(m)
+        if any(type(x) is not int for x in a + m):  # 1.0, 1e300, "1" and true would run as ints
+            raise SpecError("state entries must be integers")
+        if any(b not in (0, 1) for b in a):
             raise SpecError("main register entries must be bits")
+        return super().__new__(cls, a, m)
 
 
-@dataclass(frozen=True)
-class RegisterSpec:
+class RegisterSpec(namedtuple("RegisterSpec", "base mode r poly coeffs matrix")):
     """A register family member: base field, mode, length and connection data.
 
     Fibonacci/Galois take connection coefficients q_1..q_r (q_r nonzero);
@@ -64,39 +60,33 @@ class RegisterSpec:
     register.
     """
 
-    base: str
-    mode: str
-    r: int
-    poly: BinaryPolynomial
-    coeffs: tuple | None = None
-    matrix: tuple | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.base not in ("binary", "vectorial"):
-            raise SpecError(f"unknown base {self.base!r}")
-        if self.mode not in MODES:
-            raise SpecError(f"unknown mode {self.mode!r}")
-        if type(self.r) is not int or self.r < 1:  # "2" or true would run as 2 or 1
-            raise SpecError(f"length must be an integer >= 1, got {self.r!r}")
-        if self.base == "binary" and self.poly.n != 1:
+    def __new__(cls, base, mode, r, poly, coeffs=None, matrix=None):
+        if base not in ("binary", "vectorial"):
+            raise SpecError(f"unknown base {base!r}")
+        if mode not in MODES:
+            raise SpecError(f"unknown mode {mode!r}")
+        if type(r) is not int or r < 1:  # "2" or true would run as 2 or 1
+            raise SpecError(f"length must be an integer >= 1, got {r!r}")
+        if base == "binary" and poly.n != 1:
             raise SpecError("binary registers use the degree-1 modulus")
-        n = self.poly.n
-        if self.mode == RING:
-            if self.coeffs is not None or self.matrix is None:
+        n = poly.n
+        if mode == RING:
+            if coeffs is not None or matrix is None:
                 raise SpecError("ring mode takes a transition matrix")
-            mat = tuple(tuple(_elem(e, n) for e in row) for row in self.matrix)
-            if len(mat) != self.r or any(len(row) != self.r for row in mat):
+            matrix = tuple(tuple(_elem(e, n) for e in row) for row in matrix)
+            if len(matrix) != r or any(len(row) != r for row in matrix):
                 raise SpecError("transition matrix must be r x r")
-            object.__setattr__(self, "matrix", mat)
         else:
-            if self.matrix is not None or self.coeffs is None:
-                raise SpecError(f"{self.mode} mode takes connection coefficients")
-            coeffs = tuple(_elem(e, n) for e in self.coeffs)
-            if len(coeffs) != self.r:
+            if matrix is not None or coeffs is None:
+                raise SpecError(f"{mode} mode takes connection coefficients")
+            coeffs = tuple(_elem(e, n) for e in coeffs)
+            if len(coeffs) != r:
                 raise SpecError("need r connection coefficients")
             if not any(coeffs[-1]):
                 raise SpecError("q_r must be nonzero")
-            object.__setattr__(self, "coeffs", coeffs)
+        return super().__new__(cls, base, mode, r, poly, coeffs, matrix)
 
     @property
     def n(self) -> int:

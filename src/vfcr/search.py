@@ -12,7 +12,7 @@ prefix whose minors repeat an earlier prefix's (see _matrix_norms).
 from __future__ import annotations
 
 import random
-from dataclasses import asdict, dataclass
+from collections import namedtuple
 from functools import lru_cache
 from itertools import chain, combinations, product
 from operator import add
@@ -36,15 +36,11 @@ class SearchBudgetExceeded(RuntimeError):
     """A budget ran out: a family over the model cap, or a search without a hit."""
 
 
-@dataclass(frozen=True)
-class FamilyReport:
-    family: str
-    r: int
-    n: int
-    model_count: int
-    q_values: tuple
-    max_periods: tuple
-    witnesses: dict  # q~ -> RegisterSpec, for every maximal-period q~
+class FamilyReport(namedtuple("FamilyReport",
+                              "family r n model_count q_values max_periods witnesses")):
+    """An enumerated family; witnesses maps each maximal-period q~ to a RegisterSpec."""
+
+    __slots__ = ()
 
     def csv_rows(self):
         """Rows family,r,n,q_tilde,max_period,witness_spec (deterministic order)."""
@@ -56,21 +52,14 @@ class FamilyReport:
         return rows
 
 
-@dataclass(frozen=True)
-class TripletReport:
-    q_tilde: int
-    u: int
-    v: int
-    form_value: int
-    form_ok: bool
-    prime: bool
-    primitive_root: bool | None
-    skip_reason: str | None
-    l_q: int
-    l_uv: int
+class TripletReport(namedtuple("TripletReport", "q_tilde u v form_value form_ok prime "
+                                                "primitive_root skip_reason l_q l_uv")):
+    """A (q~, u, v) check; primitive_root and skip_reason may be None."""
+
+    __slots__ = ()
 
     def to_dict(self):
-        d = asdict(self)
+        d = self._asdict()
         for k in ("q_tilde", "u", "v", "form_value"):
             d[k] = str(d[k])
         return d

@@ -2,7 +2,9 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
+import sys
 import tempfile
 import time
 
@@ -16,7 +18,7 @@ from golden_data import (
     Q61_MEMORY_ROWS,
     Q61_OUTPUT_ROWS,
 )
-from vfcr import analysis, search
+from vfcr import analysis, registers, search
 from vfcr.cli import main
 from vfcr.registers import RegisterSpec, binary_spec
 
@@ -151,6 +153,28 @@ def test_analyze(q61_spec_file, capsys):
     assert doc["weights"] == ["3", "5", "1", "2"]
     assert doc["period"] == "60"
     assert all(int(r["q"]) in (1, 61) for r in doc["rationals"])
+
+
+def test_analyze_prints_rationals_past_the_digit_limit(q61_spec_file, capsys):
+    # a 4300-digit carry is within the int-to-str digit limit, its rationals are not
+    m = [10**4299, 0, 0, 0]
+    init = '{"a": [1, 0, 1, 0], "m": [1%s, 0, 0, 0]}' % ("0" * 4299)
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    assert main(["analyze", "--spec", q61_spec_file, "--init", init, "--reconstruct"]) == 0
+    cell = json.loads(capsys.readouterr().out)["rationals"][0]
+    spec = RegisterSpec.from_json(json.dumps(Q61_SPEC))
+    det, p = registers.closed_form(spec, spec.state([1, 0, 1, 0], m))
+    g = math.gcd(p[0], det)
+    expected = (p[0] // g * (1 if det > 0 else -1), abs(det) // g)
+    assert len(cell["p"]) > 4300
+    if limit:
+        assert sys.get_int_max_str_digits() == limit  # main restored it
+        sys.set_int_max_str_digits(0)
+    try:
+        assert (int(cell["p"]), int(cell["q"])) == expected
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 def test_analyze_binary(tmp_path, capsys):
