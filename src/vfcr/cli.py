@@ -172,56 +172,63 @@ def budget(text: str) -> int:
     return int(text)
 
 
-def build_parser() -> argparse.ArgumentParser:
+COMMANDS = {  # name: (help, handler, arguments as (name or flag, add_argument keywords))
+    "simulate": ("clock a register and emit its output rows", cmd_simulate, (
+        ("--spec", dict(required=True, help="spec file (JSON)")),
+        ("--init", dict(help='initial state, e.g. \'{"a":[1,0],"m":[0,0]}\'')),
+        ("--steps", dict(type=int, default=64, help="number of emitted columns")),
+        ("--format", dict(choices=("bits", "bytes", "csv", "structured"), default="bits")),
+    )),
+    "analyze": ("connection data, determinant, period bound", cmd_analyze, (
+        ("--spec", dict(required=True)),
+        ("--init", {}),
+        ("--reconstruct", dict(action="store_true", help="per-cell rationals")),
+        ("--budget", dict(type=budget, default=DEFAULT_RHO_BUDGET, help="Pollard rho step budget")),
+    )),
+    "enumerate": ("enumerate a register family", cmd_enumerate, (
+        ("--family", dict(required=True, choices=search.FAMILIES)),
+        ("--r", dict(type=int, required=True)),
+        ("--poly", dict(help="modulus override (bit string or signed coeffs)")),
+        ("--format", dict(choices=("csv", "structured"), default="structured")),
+    )),
+    "search": ("find matrices generating l-sequences", cmd_search, (
+        ("--r", dict(type=int, required=True)),
+        ("--poly", dict(help="modulus (default: binary)")),
+        ("--count", dict(type=int, default=1)), ("--seed", dict(type=int, default=0)),
+        ("--budget", dict(type=budget, default=DEFAULT_RHO_BUDGET)),
+        ("--ring-only", dict(action="store_true", help="require subdiagonal ones")),
+    )),
+    "check-triplet": ("validate a (q~, u, v) candidate", cmd_check_triplet, (
+        ("q_tilde", dict(type=int)), ("u", dict(type=int)), ("v", dict(type=int)),
+        ("--budget", dict(type=budget, default=DEFAULT_RHO_BUDGET)),
+    )),
+}
+
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The parser of all five subcommands; only `command`'s gets its arguments.
+
+    Without `command`, or when it names no subcommand (empty, `-h`, unknown),
+    every subcommand gets its arguments, so the top-level usage, help and
+    errors are those of the whole parser."""
     parser = argparse.ArgumentParser(
         prog="vfcr",
         description="Feedback-with-carry registers over F2 and F2^n with 2-adic analysis",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    sim = sub.add_parser("simulate", help="clock a register and emit its output rows")
-    sim.add_argument("--spec", required=True, help="spec file (JSON)")
-    sim.add_argument("--init", help='initial state, e.g. \'{"a":[1,0],"m":[0,0]}\'')
-    sim.add_argument("--steps", type=int, default=64, help="number of emitted columns")
-    sim.add_argument("--format", choices=("bits", "bytes", "csv", "structured"), default="bits")
-    sim.set_defaults(func=cmd_simulate)
-
-    ana = sub.add_parser("analyze", help="connection data, determinant, period bound")
-    ana.add_argument("--spec", required=True)
-    ana.add_argument("--init")
-    ana.add_argument("--reconstruct", action="store_true", help="per-cell rationals")
-    ana.add_argument("--budget", type=budget, default=DEFAULT_RHO_BUDGET,
-                     help="Pollard rho step budget")
-    ana.set_defaults(func=cmd_analyze)
-
-    enu = sub.add_parser("enumerate", help="enumerate a register family")
-    enu.add_argument("--family", required=True, choices=search.FAMILIES)
-    enu.add_argument("--r", type=int, required=True)
-    enu.add_argument("--poly", help="modulus override (bit string or signed coeffs)")
-    enu.add_argument("--format", choices=("csv", "structured"), default="structured")
-    enu.set_defaults(func=cmd_enumerate)
-
-    sea = sub.add_parser("search", help="find matrices generating l-sequences")
-    sea.add_argument("--r", type=int, required=True)
-    sea.add_argument("--poly", help="modulus (default: binary)")
-    sea.add_argument("--count", type=int, default=1)
-    sea.add_argument("--seed", type=int, default=0)
-    sea.add_argument("--budget", type=budget, default=DEFAULT_RHO_BUDGET)
-    sea.add_argument("--ring-only", action="store_true", help="require subdiagonal ones")
-    sea.set_defaults(func=cmd_search)
-
-    chk = sub.add_parser("check-triplet", help="validate a (q~, u, v) candidate")
-    chk.add_argument("q_tilde", type=int)
-    chk.add_argument("u", type=int)
-    chk.add_argument("v", type=int)
-    chk.add_argument("--budget", type=budget, default=DEFAULT_RHO_BUDGET)
-    chk.set_defaults(func=cmd_check_triplet)
-
+    for name, (text, func, arguments) in COMMANDS.items():
+        cmd = sub.add_parser(name, help=text)
+        if name == command or command not in COMMANDS:
+            for flag, keywords in arguments:
+                cmd.add_argument(flag, **keywords)
+        cmd.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -18,7 +18,7 @@ from golden_data import (
     Q61_MEMORY_ROWS,
     Q61_OUTPUT_ROWS,
 )
-from vfcr import analysis, registers, search
+from vfcr import analysis, cli, registers, search
 from vfcr.cli import main
 from vfcr.registers import RegisterSpec, binary_spec
 
@@ -257,6 +257,43 @@ def test_usage_errors(q61_spec_file, capsys):
     assert main(["simulate"]) == 2
     assert main(["simulate", "--spec", "/nonexistent.json"]) == 2
     assert main(["enumerate", "--family", "bogus", "--r", "2"]) == 2
+
+
+WHOLE_PARSER_ARGVS = [
+    ["simulate", "--spec", "{spec}", "--steps", "12", "--format", "csv"],
+    ["analyze", "--spec", "{spec}", "--init", q61_init(), "--reconstruct"],
+    ["enumerate", "--family", "vfcsr-q-fib", "--r", "2"],
+    ["search", "--r", "2", "--count", "1", "--ring-only"],
+    ["check-triplet", "11", "3", "2"],
+    ["-h"], ["--help"], ["-h", "simulate"],
+    *([command, "-h"] for command in cli.COMMANDS),
+    [], [""], ["bogus"], ["simul"], ["--spec", "{spec}"],
+    ["simulate"], ["enumerate", "--r", "2"], ["check-triplet", "11", "3"],
+    ["check-triplet", "11", "3", "2", "--budget", "x"], ["search", "--r", "2", "--budget", "x"],
+    ["analyze", "--spec", "{spec}", "--reco"], ["analyze", "--spec", "{spec}", "--re"],
+    ["simulate", "--spec", "{spec}", "extra"], ["simulate", "--spec", "{spec}", "analyze"],
+    ["simulate", "--spec", "{spec}", "--budget", "1"], ["simulate", "--spec", "{spec}", "--format", "x"],
+]
+
+
+@pytest.mark.parametrize("argv", WHOLE_PARSER_ARGVS)
+def test_main_matches_the_whole_parser(q61_spec_file, capsys, monkeypatch, argv):
+    """main builds only its subcommand's arguments; the whole parser is the oracle."""
+    argv = [q61_spec_file if a == "{spec}" else a for a in argv]
+    results = []
+    for build in (cli.build_parser, lambda command=None, whole=cli.build_parser: whole()):
+        monkeypatch.setattr(cli, "build_parser", build)
+        results.append((cli.main(list(argv)), capsys.readouterr()))
+    assert results[0] == results[1]
+
+
+def test_main_reads_sys_argv(monkeypatch, capsys):
+    argv = ["check-triplet", "11", "3", "2"]
+    assert main(argv) == 0
+    expected = capsys.readouterr().out
+    monkeypatch.setattr(sys, "argv", ["vfcr", *argv])
+    assert main() == 0
+    assert capsys.readouterr().out == expected
 
 
 def test_malformed_spec_file(tmp_path, capsys):
