@@ -67,18 +67,18 @@ def connection_norm(spec: RegisterSpec) -> int:
     return abs(gf2n.norm(connection_integer(spec), spec.poly))
 
 
-def connection_matrix(spec: RegisterSpec):
+def connection_matrix(spec: RegisterSpec, big=None):
     """Integer matrix of the linear system satisfied by the 2-adic outputs.
 
     Fibonacci: n x n matrix of multiplication by -q.  Galois: I - 2 G^t with
-    G the expanded transition matrix.  Ring mode has no separate form; use
-    identity_minus_2t directly.
+    G the expanded transition matrix (big, when given).  Ring mode has no
+    separate form; use identity_minus_2t directly.
     """
     if spec.mode == FIBONACCI:
         q = connection_integer(spec)
         return gf2n.mult_matrix(tuple(-c for c in q), spec.poly)
     if spec.mode == GALOIS:
-        return tuple(zip(*identity_minus_2t(spec.big_matrix())))
+        return tuple(zip(*identity_minus_2t(spec.big_matrix() if big is None else big)))
     raise ValueError("ring specs: use identity_minus_2t / ring_connection_norm")
 
 
@@ -214,23 +214,19 @@ def analyze(
 ) -> AnalysisReport:
     """Full analysis: norms, determinant, period bound, weights, rationals.
 
-    det(I - 2B) and the numerators p of the cells started at init come from
-    one closed_form call.  With reconstruct, the rationals, preperiod and
-    period come from them; StepBudgetExceeded when preperiod + period exceeds
-    CYCLE_BUDGET.
+    B is expanded once.  det(I - 2B) and the numerators p of the cells
+    started at init come from one closed_form call.  With reconstruct, the
+    rationals, preperiod and period come from them; StepBudgetExceeded when
+    preperiod + period exceeds CYCLE_BUDGET.
     """
-    det, p = registers.closed_form(spec, init)
+    big = spec.big_matrix()
+    det, p = registers.closed_form(spec, init, big)
     q_tilde = abs(det)
-    report = AnalysisReport(
-        spec=spec,
-        q_tilde=q_tilde,
-        det_i_minus_2t=det,
-        weights=memory_bounds(spec.big_matrix()),
-    )
+    report = AnalysisReport(spec, q_tilde, det, memory_bounds(big))
     if spec.mode != RING:
         report.connection_integer = connection_integer(spec)
         report.connection_vector = connection_vector(spec)
-        report.connection_matrix = connection_matrix(spec)
+        report.connection_matrix = connection_matrix(spec, big)
         norm_abs = connection_norm(spec)
         if norm_abs != q_tilde:
             raise AssertionError(

@@ -206,21 +206,25 @@ COMMANDS = {  # name: (help, handler, arguments as (name or flag, add_argument k
 
 
 def build_parser(command=None) -> argparse.ArgumentParser:
-    """The parser of all five subcommands; only `command`'s gets its arguments.
+    """The parser of `command`'s subcommand; the other four are names only.
 
+    argparse looks up only the invoked name in the subparsers' choices, and
+    the usage line lists their keys, so a name needs no parser behind it.
     Without `command`, or when it names no subcommand (empty, `-h`, unknown),
-    every subcommand gets its arguments, so the top-level usage, help and
-    errors are those of the whole parser."""
+    all five are built: the top-level usage, help and errors are those of the
+    whole parser."""
     parser = argparse.ArgumentParser(
         prog="vfcr",
         description="Feedback-with-carry registers over F2 and F2^n with 2-adic analysis",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (text, func, arguments) in COMMANDS.items():
+        if name != command and command in COMMANDS:
+            sub.choices[name] = None
+            continue
         cmd = sub.add_parser(name, help=text)
-        if name == command or command not in COMMANDS:
-            for flag, keywords in arguments:
-                cmd.add_argument(flag, **keywords)
+        for flag, keywords in arguments:
+            cmd.add_argument(flag, **keywords)
         cmd.set_defaults(func=func)
     return parser
 

@@ -71,17 +71,21 @@ class RegisterSpec(namedtuple("RegisterSpec", "base mode r poly coeffs matrix"))
             raise SpecError(f"length must be an integer >= 1, got {r!r}")
         if base == "binary" and poly.n != 1:
             raise SpecError("binary registers use the degree-1 modulus")
-        n = poly.n
+        n, seen = poly.n, {}  # id(entry): (entry, its bits); by id, as (True,) == (1,)
+
+        def elem(e):  # each entry object is checked once
+            return (seen.get(id(e)) or seen.setdefault(id(e), (e, _elem(e, n))))[1]
+
         if mode == RING:
             if coeffs is not None or matrix is None:
                 raise SpecError("ring mode takes a transition matrix")
-            matrix = tuple(tuple(_elem(e, n) for e in row) for row in matrix)
+            matrix = tuple(tuple(map(elem, row)) for row in matrix)
             if len(matrix) != r or any(len(row) != r for row in matrix):
                 raise SpecError("transition matrix must be r x r")
         else:
             if matrix is not None or coeffs is None:
                 raise SpecError(f"{mode} mode takes connection coefficients")
-            coeffs = tuple(_elem(e, n) for e in coeffs)
+            coeffs = tuple(map(elem, coeffs))
             if len(coeffs) != r:
                 raise SpecError("need r connection coefficients")
             if not any(coeffs[-1]):
@@ -168,12 +172,18 @@ class RegisterSpec(namedtuple("RegisterSpec", "base mode r poly coeffs matrix"))
                 raise SpecError(f"malformed spec: {x!r} is not a list")
             return x
 
+        decoded = {}  # each distinct bit string decodes once; elem_from_bits refuses all else
+
+        def elem(e):
+            bits = decoded.get(e) if isinstance(e, str) else None
+            return bits or decoded.setdefault(e, gf2n.elem_from_bits(e, poly))
+
         if "T" in d:
             rows = listed(d["T"])
-            mat = tuple(tuple(gf2n.elem_from_bits(e, poly) for e in listed(row)) for row in rows)
+            mat = tuple(tuple(map(elem, listed(row))) for row in rows)
             return cls(base=base, mode=mode, r=r, poly=poly, matrix=mat)
         if "q" in d:
-            coeffs = tuple(gf2n.elem_from_bits(e, poly) for e in listed(d["q"]))
+            coeffs = tuple(map(elem, listed(d["q"])))
             return cls(base=base, mode=mode, r=r, poly=poly, coeffs=coeffs)
         raise SpecError("spec needs either 'q' or 'T'")
 
@@ -361,7 +371,7 @@ def identity_minus_2t(big):
     return tuple(map(tuple, rows))
 
 
-def closed_form(spec: RegisterSpec, init: RegisterState) -> tuple:
+def closed_form(spec: RegisterSpec, init: RegisterState, big=None) -> tuple:
     """(q, p): coordinate i outputs the 2-adic rational p_i / q, q = det(I - 2B).
 
     A clock maps a + 2m to a.B + m, so the output vector alpha, read as
@@ -369,11 +379,11 @@ def closed_form(spec: RegisterSpec, init: RegisterState) -> tuple:
     Goresky 1997; Arnault et al. 2009).  Hence alpha = p / det(I - 2B) with
     p = (a_0 + 2 m_0) adj(I - 2B), from one Bareiss elimination
     (exactmath.det_adj_left) and no stepping.  q is signed (odd, so never 0);
-    callers that need q > 0 negate both.
+    callers that need q > 0 negate both.  big, when given, is spec.big_matrix().
     """
     spec._check_state(init)
     v = [a + 2 * m for a, m in zip(init.a, _ring_carries(spec, init.m))]
-    return det_adj_left(identity_minus_2t(spec.big_matrix()), v)
+    return det_adj_left(identity_minus_2t(spec.big_matrix() if big is None else big), v)
 
 
 def output_rows(spec: RegisterSpec, init: RegisterState, count: int) -> list:

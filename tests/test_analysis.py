@@ -221,6 +221,20 @@ def test_analyze_reference_register():
     assert d["feedback_corner"] == "01"
 
 
+@pytest.mark.parametrize("reconstruct", [False, True])
+@pytest.mark.parametrize("spec", [
+    q61_spec(),
+    binary_spec("fibonacci", [1, 0, 1]),
+    RegisterSpec(base="vectorial", mode="galois", r=2, poly=quadratic(), coeffs=((1, 1), (0, 1))),
+], ids=["ring", "fibonacci", "galois"])
+def test_analyze_expands_once(monkeypatch, spec, reconstruct):
+    calls = []
+    expand = registers.expand
+    monkeypatch.setattr(registers, "expand", lambda *args: calls.append(args) or expand(*args))
+    analyze(spec, spec.zero_state(), reconstruct)
+    assert len(calls) == 1
+
+
 def test_analyze_fibonacci_cross_checks_norm():
     spec = binary_spec("fibonacci", [1, 0, 1])  # q = 2 + 8 - 1 = 9
     rep = analyze(spec, spec.zero_state())

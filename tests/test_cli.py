@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import io
@@ -273,6 +274,8 @@ WHOLE_PARSER_ARGVS = [
     ["analyze", "--spec", "{spec}", "--reco"], ["analyze", "--spec", "{spec}", "--re"],
     ["simulate", "--spec", "{spec}", "extra"], ["simulate", "--spec", "{spec}", "analyze"],
     ["simulate", "--spec", "{spec}", "--budget", "1"], ["simulate", "--spec", "{spec}", "--format", "x"],
+    ["analyze", "simulate"], ["analyze", "--spec"], ["search", "--", "x"],
+    ["check-triplet", "11", "3", "2", "extra"],
 ]
 
 
@@ -285,6 +288,22 @@ def test_main_matches_the_whole_parser(q61_spec_file, capsys, monkeypatch, argv)
         monkeypatch.setattr(cli, "build_parser", build)
         results.append((cli.main(list(argv)), capsys.readouterr()))
     assert results[0] == results[1]
+
+
+def test_build_parser_builds_only_the_invoked_subparser(monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    cli.build_parser("analyze")
+    assert built == ["vfcr", "vfcr analyze"]
+    built.clear()
+    cli.build_parser()
+    assert built == ["vfcr", *(f"vfcr {name}" for name in cli.COMMANDS)]
 
 
 def test_main_reads_sys_argv(monkeypatch, capsys):

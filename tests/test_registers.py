@@ -10,7 +10,7 @@ from golden_data import (
     Q61_INIT_M,
 )
 from traces import listed
-from vfcr import gf2n
+from vfcr import gf2n, registers
 from vfcr.analysis import analyze
 from vfcr.exactmath import det_adj_left, factorize
 from vfcr.gf2n import quadratic
@@ -302,6 +302,72 @@ B = gf2n.binary_modulus()
 def test_malformed_arguments_are_refused(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+def _outcome(call):
+    """The spec a call returns, or its exception's type and text; repr tells True from 1."""
+    try:
+        return repr(call())
+    except Exception as exc:
+        return repr((type(exc), str(exc)))
+
+
+# valid entries, equal entries of other types, wrong lengths, bits outside {0, 1}, non-sequences
+ENTRY_POOL = [(0, 1), (1, 0), (1, 1), [1, 1], (True, 0), (1, True), (False, False), (2, 0),
+              (0,), (0, 1, 0), "01", "2", "", 1, None]
+BIT_STRING_POOL = ["01", "10", "11", "00", "1", "011", "2", "12", "", 1, 0, True, None, ["0", "1"]]
+
+
+def _random_fields(rng, pool, mode, r):
+    """Rows or coefficients drawn from pool, sometimes of a wrong length."""
+    size = r + (rng.random() < 0.1)
+    if mode == "ring":
+        return [[rng.choice(pool) for _ in range(size if rng.random() < 0.2 else r)]
+                for _ in range(size)]
+    return [rng.choice(pool) for _ in range(size)]
+
+
+def _spec_one_at_a_time(mode, r, P, raw, entry):
+    """The spec with entry(e) made of each entry e on its own, so no check is shared."""
+    if mode == "ring":
+        return RegisterSpec("vectorial", mode, r, P, matrix=[[entry(e) for e in x] for x in raw])
+    return RegisterSpec("vectorial", mode, r, P, coeffs=[entry(e) for e in raw])
+
+
+def test_spec_entries_check_as_one_at_a_time():
+    """RegisterSpec checks each entry object once: same spec or error as _elem per entry."""
+    rng, P = random.Random(26), quadratic()
+    for _ in range(400):
+        mode, r = rng.choice(("fibonacci", "galois", "ring")), rng.randint(1, 3)
+        raw = _random_fields(rng, rng.sample(ENTRY_POOL, 4), mode, r)  # most objects recur
+        key = "matrix" if mode == "ring" else "coeffs"
+        fast = _outcome(lambda: RegisterSpec("vectorial", mode, r, P, **{key: raw}))
+        slow = _outcome(lambda: _spec_one_at_a_time(
+            mode, r, P, raw, lambda e: registers._elem(e, P.n)))
+        assert fast == slow
+
+
+def test_spec_bit_strings_decode_as_one_at_a_time():
+    """from_dict decodes each distinct bit string once: same spec or error as elem_from_bits."""
+    rng, P = random.Random(26), quadratic()
+    for _ in range(400):
+        mode, r = rng.choice(("fibonacci", "galois", "ring")), rng.randint(1, 3)
+        raw = _random_fields(rng, rng.sample(BIT_STRING_POOL, 4), mode, r)
+        d = {"base": "vectorial", "mode": mode, "r": r, "poly": P.lift_text(),
+             ("T" if mode == "ring" else "q"): raw}
+        slow = _outcome(lambda: _spec_one_at_a_time(
+            mode, r, P, raw, lambda e: registers._elem(gf2n.elem_from_bits(e, P), P.n)))
+        assert _outcome(lambda: RegisterSpec.from_dict(d)) == slow
+
+
+@pytest.mark.parametrize("mode, fields", [
+    ("ring", {"matrix": (((1,), (True,)), ((1,), (0,)))}),
+    ("galois", {"coeffs": ((1,), (True,))}),
+])
+def test_checked_entry_does_not_pass_an_equal_bool(mode, fields):
+    # (True,) == (1,): a memo keyed by equality would take the bool for the checked int
+    with pytest.raises(SpecError, match=r"got \(True,\)"):
+        RegisterSpec(base="binary", mode=mode, r=2, poly=B, **fields)
 
 
 def test_exhaustive_mode_embedding_small():
