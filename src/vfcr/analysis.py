@@ -169,26 +169,22 @@ def check_containment(mem_rows, w):
     return report
 
 
-class AnalysisReport:
+class AnalysisReport(namedtuple("AnalysisReport", "spec q_tilde det_i_minus_2t weights "
+                                                  "connection_integer connection_vector "
+                                                  "connection_matrix order order_unavailable "
+                                                  "feedback_corner rationals preperiod period",
+                                 defaults=(None,) * 9)):
     """Everything the 2-adic analysis can say about one register spec.
 
-    The optional fields stay None until analyze sets them.
+    The optional fields are None where they do not apply; feedback_corner is
+    t_{1,r} of a ring spec.
     """
 
-    connection_integer = connection_vector = connection_matrix = None
-    order = order_unavailable = None
-    feedback_corner = None  # t_{1,r} for ring specs
-    rationals = preperiod = period = None
-
-    def __init__(self, spec: RegisterSpec, q_tilde: int, det_i_minus_2t: int, weights: tuple):
-        self.spec = spec
-        self.q_tilde = q_tilde
-        self.det_i_minus_2t = det_i_minus_2t
-        self.weights = weights
+    __slots__ = ()
 
     def to_dict(self):
         """Every set field, its integers as decimal strings; order "unavailable" when unset."""
-        d = {k: _decimal(v) for k, v in vars(self).items()
+        d = {k: _decimal(v) for k, v in self._asdict().items()
              if v is not None and k not in ("spec", "feedback_corner", "rationals")}
         d["spec"] = self.spec.to_dict()
         d.setdefault("order", "unavailable")
@@ -222,32 +218,31 @@ def analyze(
     big = spec.big_matrix()
     det, p = registers.closed_form(spec, init, big)
     q_tilde = abs(det)
-    report = AnalysisReport(spec, q_tilde, det, memory_bounds(big))
+    fields = {}
     if spec.mode != RING:
-        report.connection_integer = connection_integer(spec)
-        report.connection_vector = connection_vector(spec)
-        report.connection_matrix = connection_matrix(spec, big)
+        fields.update(connection_integer=connection_integer(spec),
+                      connection_vector=connection_vector(spec),
+                      connection_matrix=connection_matrix(spec, big))
         norm_abs = connection_norm(spec)
         if norm_abs != q_tilde:
             raise AssertionError(
                 f"norm/determinant mismatch: |N(q)|={norm_abs}, |det|={q_tilde}"
             )
     else:
-        report.feedback_corner = spec.matrix[0][spec.r - 1]
+        fields["feedback_corner"] = spec.matrix[0][spec.r - 1]
     try:
-        report.order = multiplicative_order(q_tilde, rho_budget)
+        fields["order"] = multiplicative_order(q_tilde, rho_budget)
     except FactorBudgetExceeded as exc:
-        report.order_unavailable = str(exc)
+        fields["order_unavailable"] = str(exc)
     if reconstruct:
         if det < 0:
             p = [-x for x in p]
-        report.rationals = [Rational2Adic(x, q_tilde).reduce() for x in p]
-        report.preperiod = max(_preperiod(x, q_tilde) for x in p)
-        den = math.lcm(*(x.q for x in report.rationals))
-        report.period = multiplicative_order(den, rho_budget)
-        if report.preperiod + report.period > CYCLE_BUDGET:
+        rationals = [Rational2Adic(x, q_tilde).reduce() for x in p]
+        preperiod = max(_preperiod(x, q_tilde) for x in p)
+        period = multiplicative_order(math.lcm(*(x.q for x in rationals)), rho_budget)
+        if preperiod + period > CYCLE_BUDGET:
             raise StepBudgetExceeded(
-                f"preperiod {report.preperiod} + period {report.period}"
-                f" exceeds the {CYCLE_BUDGET}-step budget"
+                f"preperiod {preperiod} + period {period} exceeds the {CYCLE_BUDGET}-step budget"
             )
-    return report
+        fields.update(rationals=rationals, preperiod=preperiod, period=period)
+    return AnalysisReport(spec, q_tilde, det, memory_bounds(big), **fields)

@@ -1,7 +1,7 @@
 """Command-line front end: simulate, analyze, enumerate, search, check-triplet.
 
 Exit codes: 0 success, 1 property-check failure, 2 usage error,
-3 search/factorization budget exceeded.
+3 search, factorization or cycle (--reconstruct) budget exceeded.
 """
 
 from __future__ import annotations
@@ -37,7 +37,17 @@ def _load_init(args, spec: RegisterSpec) -> RegisterState:
         raise SpecError(f'--init needs a JSON object with "a" and "m" lists ({exc!r})') from exc
 
 
-def _print_json(doc):
+def _print_json(build):
+    # an exact answer may outgrow the int-to-str digit limit (Python >= 3.10.7) that its
+    # input kept to: build the document with the limit lifted, restore it, then write it
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        doc = build()
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
     sys.stdout.write(json.dumps(doc, sort_keys=True) + "\n")  # dumps: the C encoder
 
 
@@ -103,17 +113,7 @@ def cmd_simulate(args) -> int:
 def cmd_analyze(args) -> int:
     spec = _load_spec(args)
     report = analysis.analyze(spec, _load_init(args, spec), args.reconstruct, args.budget)
-    # an exact answer may outgrow the int-to-str digit limit (Python >= 3.10.7) that its
-    # input kept to; lift it for this document only
-    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
-    if limit:
-        sys.set_int_max_str_digits(0)
-    try:
-        doc = report.to_dict()
-    finally:
-        if limit:
-            sys.set_int_max_str_digits(limit)
-    _print_json(doc)
+    _print_json(report.to_dict)
     return EXIT_OK
 
 
@@ -128,7 +128,7 @@ def cmd_enumerate(args) -> int:
         writer.writerow(("family", "r", "n", "q_tilde", "max_period", "witness_spec"))
         writer.writerows(report.csv_rows())
     else:
-        doc = {
+        _print_json(lambda: {
             "family": report.family,
             "r": report.r,
             "n": report.n,
@@ -136,8 +136,7 @@ def cmd_enumerate(args) -> int:
             "q_values": [str(q) for q in report.q_values],
             "max_periods": [str(p) for p in report.max_periods],
             "witnesses": {str(q): w.to_dict() for q, w in report.witnesses.items()},
-        }
-        _print_json(doc)
+        })
     return EXIT_OK
 
 
@@ -150,17 +149,16 @@ def cmd_search(args) -> int:
         rho_budget=args.budget,
         ring_only=args.ring_only,
     )
-    doc = [
+    _print_json(lambda: [
         {"spec": h["spec"].to_dict(), "q_tilde": str(h["q_tilde"]), "order": str(h["order"])}
         for h in hits
-    ]
-    _print_json(doc)
+    ])
     return EXIT_OK
 
 
 def cmd_check_triplet(args) -> int:
     report = search.check_triplet(args.q_tilde, args.u, args.v, rho_budget=args.budget)
-    _print_json(report.to_dict())
+    _print_json(report.to_dict)
     if report.form_ok and report.prime and report.primitive_root is not False:
         return EXIT_OK
     return EXIT_CHECK_FAILED

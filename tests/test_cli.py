@@ -156,11 +156,15 @@ def test_analyze(q61_spec_file, capsys):
     assert all(int(r["q"]) in (1, 61) for r in doc["rationals"])
 
 
+def _digit_limit():
+    return sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+
+
 def test_analyze_prints_rationals_past_the_digit_limit(q61_spec_file, capsys):
     # a 4300-digit carry is within the int-to-str digit limit, its rationals are not
     m = [10**4299, 0, 0, 0]
     init = '{"a": [1, 0, 1, 0], "m": [1%s, 0, 0, 0]}' % ("0" * 4299)
-    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    limit = _digit_limit()
     assert main(["analyze", "--spec", q61_spec_file, "--init", init, "--reconstruct"]) == 0
     cell = json.loads(capsys.readouterr().out)["rationals"][0]
     spec = RegisterSpec.from_json(json.dumps(Q61_SPEC))
@@ -176,6 +180,28 @@ def test_analyze_prints_rationals_past_the_digit_limit(q61_spec_file, capsys):
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)
+
+
+def test_check_triplet_prints_a_form_value_past_the_digit_limit(capsys):
+    # u = v = 10^2200 are within the digit limit; u^2 + uv - v^2 = 10^4400 is not
+    u = "1" + "0" * 2200
+    limit = _digit_limit()
+    assert main(["check-triplet", "11", u, u]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["form_value"] == "1" + "0" * 4400 and doc["form_ok"] is False
+    assert _digit_limit() == limit
+
+
+@pytest.mark.skipif(_digit_limit() != 4300, reason="needs the default int-to-str digit limit")
+def test_inputs_past_the_digit_limit_are_usage_errors(q61_spec_file, capsys):
+    big = "1" + "0" * 4300
+    init = '{"a": [1, 0, 1, 0], "m": [%s, 0, 0, 0]}' % big
+    for argv in (["analyze", "--spec", q61_spec_file, "--init", init, "--reconstruct"],
+                 ["check-triplet", big, "3", "2"]):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err
+        assert _digit_limit() == 4300
 
 
 def test_analyze_binary(tmp_path, capsys):

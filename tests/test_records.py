@@ -1,4 +1,4 @@
-"""The six value types: constructor calls, pickling, copying, hashing, immutability
+"""The seven value types: constructor calls, pickling, copying, hashing, immutability
 and argument checks."""
 
 import copy
@@ -6,21 +6,31 @@ import pickle
 
 import pytest
 
-from vfcr.analysis import Rational2Adic
+from vfcr.analysis import AnalysisReport, Rational2Adic, analyze
 from vfcr.gf2n import BinaryPolynomial, PolynomialError, binary_modulus, quadratic
 from vfcr.registers import RegisterSpec, RegisterState, SpecError, binary_spec
 from vfcr.search import FamilyReport, TripletReport, check_triplet, enumerate_family
 
 B = binary_modulus()
 
+
+def ring_spec():
+    return RegisterSpec(base="vectorial", mode="ring", r=2, poly=quadratic(),
+                        matrix=[[(0, 1), (0, 1)], [(1, 1), (0, 0)]])
+
+
+RING = ring_spec()
+GALOIS = binary_spec("galois", [1, 0, 1])
+REPORT_FIELDS = ("spec", "q_tilde", "det_i_minus_2t", "weights", "connection_integer",
+                 "connection_vector", "connection_matrix", "order", "order_unavailable",
+                 "feedback_corner", "rationals", "preperiod", "period")
+
 # (make a value, its constructor's fields, its other read-only fields)
 RECORDS = {
     "polynomial": (lambda: BinaryPolynomial.parse("-1,-1,1"), ("coeffs",), ("n",)),
     "polynomial-deg4": (lambda: BinaryPolynomial.parse("11001"), ("coeffs",), ("n",)),
     "state": (lambda: RegisterState((1, 0, 1), (0, -3, 2**70)), ("a", "m"), ()),
-    "spec-ring": (lambda: RegisterSpec(base="vectorial", mode="ring", r=2, poly=quadratic(),
-                                       matrix=[[(0, 1), (0, 1)], [(1, 1), (0, 0)]]),
-                  ("base", "mode", "r", "poly", "coeffs", "matrix"), ()),
+    "spec-ring": (ring_spec, ("base", "mode", "r", "poly", "coeffs", "matrix"), ()),
     "spec-galois": (lambda: binary_spec("galois", [1, 0, 1]),
                     ("base", "mode", "r", "poly", "coeffs", "matrix"), ()),
     "rational": (lambda: Rational2Adic(-5, 3), ("p", "q"), ()),
@@ -32,6 +42,10 @@ RECORDS = {
                          "primitive_root", "skip_reason", "l_q", "l_uv"), ()),
     "family": (lambda: enumerate_family("binary-fcr", 2),
                ("family", "r", "n", "model_count", "q_values", "max_periods", "witnesses"), ()),
+    # without reconstruct, so that no field is a list and every report hashes
+    "analysis-ring": (lambda: analyze(RING, RING.zero_state()), REPORT_FIELDS, ()),
+    "analysis-galois": (lambda: analyze(GALOIS, GALOIS.state((1, 0, 1), (0, 1, 0))),
+                        REPORT_FIELDS, ()),
 }
 
 
@@ -96,6 +110,7 @@ def test_fields_are_read_only(name):
     (lambda: Rational2Adic(1, 3, 5), TypeError, None),
     (lambda: TripletReport(11, 3, 2), TypeError, "form_value"),
     (lambda: FamilyReport("binary-fcr", r=2), TypeError, "n"),
+    (lambda: AnalysisReport(GALOIS, 9, -9), TypeError, "weights"),
 ])
 def test_bad_arguments_are_refused(call, error, message):
     with pytest.raises(error, match=message):
