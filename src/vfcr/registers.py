@@ -56,8 +56,8 @@ class RegisterSpec(namedtuple("RegisterSpec", "base mode r poly coeffs matrix"))
 
     Fibonacci/Galois take connection coefficients q_1..q_r (q_r nonzero);
     Ring takes an r x r transition matrix over the field, of any shape: one
-    without ones on the subdiagonal (see has_subdiagonal_ones) is a general
-    register.
+    without ones on the subdiagonal is a general register (`search
+    --ring-only` keeps only matrices with them).
     """
 
     __slots__ = ()
@@ -205,12 +205,6 @@ def _elem(e, n: int) -> tuple:
     if len(e) != n or any(b not in (0, 1) or isinstance(b, bool) for b in e):
         raise SpecError(f"field elements need {n} entries over {{0, 1}}, got {e!r}")
     return tuple(map(int, e))
-
-
-def has_subdiagonal_ones(field_matrix, n: int) -> bool:
-    """True when every subdiagonal entry of the field matrix is 1."""
-    one = (1,) + (0,) * (n - 1)
-    return all(field_matrix[i + 1][i] == one for i in range(len(field_matrix) - 1))
 
 
 def binary_spec(mode: str, taps) -> RegisterSpec:

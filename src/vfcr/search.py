@@ -30,6 +30,7 @@ MODEL_CAP_BITS = 24
 NORM_WORK_CAP_BITS = 27
 # find_l_sequence_matrices samples at most this many matrices of a large space
 MAX_DRAWS = 10**4
+MAX_CODE_BITS = 1 << 16  # and refuses matrices whose codes have more bits (n r^2)
 
 
 class SearchBudgetExceeded(RuntimeError):
@@ -83,15 +84,14 @@ def _is_l_norm(q: int, rho_budget: int) -> bool:
         return False
 
 
-def _det_mod8(elem, P):
-    """residue(cells) = det(I - 2B) mod 8 for B = expand(T, P), T_ij = elem(cells[i][j]).
+def _det_mod8(block, P):
+    """residue(cells) = det(I - 2B) mod 8 for B with blocks M(T_ij) = block(cells[i][j]).
 
     Mod 8, det(I - 2B) = 1 - 2 e_1 + 4 e_2 over the elementary symmetric functions of
     B's eigenvalues, with e_1 = tr B and 2 e_2 = tr(B)^2 - tr(B^2) (Newton).  tr B sums
     tr M(T_ii) and tr(B^2) sums tr(M(T_ij) M(T_ji)), each kept per pair of element codes.
     """
     one = 1 << (P.n - 1)  # the code of 1; M(1) = I, so tr M(c) = trace(c, one)
-    block = lru_cache(maxsize=None)(lambda c: gf2n.mult_matrix(elem(c), P))
 
     @lru_cache(maxsize=None)
     def trace(a, b):  # tr(M(a) M(b))
@@ -104,6 +104,13 @@ def _det_mod8(elem, P):
         return (1 - 2 * t1 + 2 * (t1 * t1 - t2)) % 8
 
     return residue
+
+
+def _subdiagonal_code(r: int, n: int):
+    """(mask, ones): code & mask == ones iff every subdiagonal cell of the code holds
+    1 << (n - 1), the code of 1 (elements decode high bit first)."""
+    at = [((i + 1) * r + i) * n for i in range(r - 1)]
+    return sum(((1 << n) - 1) << k for k in at), sum(1 << (k + n - 1) for k in at)
 
 
 def _witness_achieves(spec: RegisterSpec, q_tilde: int) -> bool:
@@ -243,8 +250,12 @@ def find_l_sequence_matrices(
     """Transition matrices whose connection norm is prime with 2 a primitive root.
 
     Deterministic for a fixed seed.  Small spaces are scanned exhaustively in
-    a seed-shuffled order; larger ones are sampled up to MAX_DRAWS times.  Raises
-    SearchBudgetExceeded if the budget is spent without a single hit.
+    a seed-shuffled order; larger ones are sampled up to MAX_DRAWS times.  A
+    draw is tested on its code first: ring_only on the subdiagonal cells' bits,
+    then det(I - 2B) mod 8 (_det_mod8).  A survivor's B is assembled from the
+    blocks that residue built, and only a hit is decoded to a RegisterSpec.
+    Raises SearchBudgetExceeded up front for codes of more than MAX_CODE_BITS
+    bits, or if the budget is spent without a single hit.
     """
     if r < 1:
         raise ValueError("r must be >= 1")
@@ -252,33 +263,37 @@ def find_l_sequence_matrices(
         raise ValueError("count must be >= 1")
     P = poly or gf2n.binary_modulus()
     n = P.n
-    space = 1 << (n * r * r)
+    bits = n * r * r  # a matrix's code: cell (i, j) is bits (i r + j) n .. + n - 1
+    if bits > MAX_CODE_BITS:
+        raise SearchBudgetExceeded(f"search with r = {r}, n = {n} draws codes of {bits} bits,"
+                                   f" over the cap of {MAX_CODE_BITS}")
     rng = random.Random(seed)
-    # a code's element in _field_elements order, decoded when a draw reaches it
-    elem = lru_cache(maxsize=None)(lambda c: tuple(c >> k & 1 for k in range(n - 1, -1, -1)))
-    residue = _det_mod8(elem, P)
-    if space <= 1 << 16:
-        codes = list(range(space))
+    # a code's multiplication block, built when a draw reaches it; row 0 is its element
+    block = lru_cache(maxsize=None)(
+        lambda c: gf2n.mult_matrix(tuple(c >> k & 1 for k in range(n - 1, -1, -1)), P))
+    residue = _det_mod8(block, P)
+    if bits <= 16:
+        codes = list(range(1 << bits))
         rng.shuffle(codes)
     else:
-        codes = (rng.randrange(space) for _ in range(MAX_DRAWS))
+        codes = (rng.randrange(1 << bits) for _ in range(MAX_DRAWS))
+    sub_mask, sub_ones = _subdiagonal_code(r, n) if ring_only else (0, 0)
 
     hits = []
     seen = set()
     for code in codes:
-        if code in seen:
+        if code & sub_mask != sub_ones or code in seen:
             continue
         seen.add(code)
         cells = [[(code >> ((i * r + j) * n)) & ((1 << n) - 1) for j in range(r)] for i in range(r)]
-        mat = tuple(tuple(elem(c) for c in row) for row in cells)
-        if ring_only and not registers.has_subdiagonal_ones(mat, n):
-            continue
         if residue(cells) not in (3, 5):  # q~ = +-1 mod 8 is no l-norm (_is_l_norm)
             continue
-        big = registers.expand(mat, P)
+        big = tuple(tuple(chain.from_iterable(block(c)[k] for c in row))
+                    for row in cells for k in range(n))
         _, q_tilde = ring_connection_norm(big)
         if not _is_l_norm(q_tilde, rho_budget):
             continue
+        mat = tuple(tuple(block(c)[0] for c in row) for row in cells)
         spec = RegisterSpec(
             base="binary" if n == 1 else "vectorial", mode=RING, r=r, poly=P, matrix=mat
         )

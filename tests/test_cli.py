@@ -639,6 +639,16 @@ def test_enumerate_over_the_model_cap_exits_3(capsys, family, r):
     assert "over the cap of 2^24" in captured.err
 
 
+@pytest.mark.parametrize("args", [["--r", "10000000"], ["--r", "257"], ["--r", "148", "--poly", "1101"]])
+def test_search_over_the_code_cap_exits_3(capsys, args):
+    # refused up front: codes of n r^2 > 2^16 bits; 1 << (n r^2) alone is 12 TB at r = 10^7
+    assert main(["search"] + args) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "over the cap of 65536" in captured.err
+
+
 @pytest.mark.parametrize(
     "command, message",
     [

@@ -9,6 +9,7 @@ from golden_data import (
     Q61_INIT_A,
     Q61_INIT_M,
 )
+from test_search_filter import has_subdiagonal_ones
 from traces import listed
 from vfcr import gf2n, registers
 from vfcr.analysis import analyze
@@ -23,7 +24,6 @@ from vfcr.registers import (
     binary_spec,
     detect_cycle,
     expand,
-    has_subdiagonal_ones,
     output_rows,
     run,
     step,

@@ -4,11 +4,12 @@ import tracemalloc
 import pytest
 
 from golden_data import BIG_TRIPLET_Q, FAMILY_EXPECTED, Q61_FIELD_MATRIX
+from test_search_filter import has_subdiagonal_ones
 from vfcr import exactmath
 from vfcr.analysis import connection_norm
 from vfcr.exactmath import FactorBudgetExceeded, is_primitive_root_2, is_probable_prime
 from vfcr.gf2n import BinaryPolynomial, quadratic
-from vfcr.registers import RegisterSpec, has_subdiagonal_ones
+from vfcr.registers import RegisterSpec
 from vfcr.search import (
     MAX_DRAWS,
     SearchBudgetExceeded,

@@ -1,8 +1,9 @@
 """The mod-8 refutation of `search` draws against the full determinant.
 
 `find_l_sequence_matrices` skips a draw whose det(I - 2B) is +-1 mod 8
-before expanding T or eliminating I - 2B.  `unfiltered_search` below is the
-loop without that skip; the search must return exactly its hits.
+before assembling B or eliminating I - 2B, and tests --ring-only on the
+draw's code before decoding it.  `unfiltered_search` below is the loop
+without either shortcut; the search must return exactly its hits.
 """
 
 import random
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vfcr import gf2n, registers
+from vfcr import gf2n
 from vfcr.analysis import ring_connection_norm
 from vfcr.exactmath import det_exact, is_primitive_root_2, is_probable_prime
 from vfcr.registers import RING, RegisterSpec, expand, identity_minus_2t
@@ -20,10 +21,17 @@ from vfcr.search import (
     SearchBudgetExceeded,
     _det_mod8,
     _field_elements,
+    _subdiagonal_code,
     find_l_sequence_matrices,
 )
 
 LIFTS = ("11", "-1,-1,1", "1101", "-1,1,0,1")
+
+
+def has_subdiagonal_ones(field_matrix, n):
+    """True when every subdiagonal entry of the field matrix is 1."""
+    one = (1,) + (0,) * (n - 1)
+    return all(field_matrix[i + 1][i] == one for i in range(len(field_matrix) - 1))
 
 
 def unfiltered_search(r, P, count, seed, ring_only=False):
@@ -44,7 +52,7 @@ def unfiltered_search(r, P, count, seed, ring_only=False):
         seen.add(code)
         mat = tuple(tuple(elems[(code >> ((i * r + j) * n)) & ((1 << n) - 1)] for j in range(r))
                     for i in range(r))
-        if ring_only and not registers.has_subdiagonal_ones(mat, n):
+        if ring_only and not has_subdiagonal_ones(mat, n):
             continue
         _, q_tilde = ring_connection_norm(expand(mat, P))
         if not (q_tilde > 2 and is_probable_prime(q_tilde) and is_primitive_root_2(q_tilde)):
@@ -72,8 +80,28 @@ def test_residue_matches_the_determinant(case):
     P, cells = case
     elems = _field_elements(P.n)
     mat = [[elems[c] for c in row] for row in cells]
-    residue = _det_mod8(elems.__getitem__, P)
+    residue = _det_mod8(lambda c: gf2n.mult_matrix(elems[c], P), P)
     assert residue(cells) == det_exact(identity_minus_2t(expand(mat, P))) % 8
+
+
+@st.composite
+def subdiagonal_codes(draw):
+    n, r = draw(st.integers(1, 3)), draw(st.integers(1, 5))
+    one = 1 << (n - 1)  # the code of 1; drawn often, so that many matrices pass
+    cells = draw(st.lists(st.one_of(st.just(one), st.integers(0, (1 << n) - 1)),
+                          min_size=r * r, max_size=r * r))
+    return n, r, cells
+
+
+@settings(max_examples=300, deadline=None)
+@given(subdiagonal_codes())
+def test_ring_only_bit_test_matches_the_decoded_matrix(case):
+    n, r, cells = case
+    elems = _field_elements(n)
+    code = sum(c << (k * n) for k, c in enumerate(cells))
+    mat = [[elems[c] for c in cells[i * r:i * r + r]] for i in range(r)]
+    mask, ones = _subdiagonal_code(r, n)
+    assert (code & mask == ones) == has_subdiagonal_ones(mat, n)
 
 
 @pytest.mark.parametrize(
@@ -87,12 +115,16 @@ def test_residue_matches_the_determinant(case):
         (2, "-1,-1,1", False, (0, 3), (1, 10)),
         (2, "-7,5,1", False, (0, 1, 2), (1, 3)),
         (2, "1101", False, (0, 1), (1, 2)),
+        (2, "-1,-1,1", True, (0, 1, 4), (1, 3)),
+        (2, "1101", True, (0, 1, 2), (1, 3)),
         # sampled: over 2^16 codes
         (5, None, True, (0, 1, 2), (1, 2)),
         (6, None, True, (0, 1), (1, 3)),
         (5, None, False, (3, 4), (1, 3)),
         (4, "1101", False, (0, 1, 2), (1, 2)),
         (3, "-1,-1,1", False, (0, 1), (1, 3, MAX_DRAWS + 1)),  # the last spends every draw
+        (3, "-1,-1,1", True, (0, 1, 2), (1, 3)),
+        (3, "1101", True, (0, 1), (1, 2, MAX_DRAWS + 1)),
     ],
 )
 def test_search_returns_the_unfiltered_hits(r, lift, ring_only, seeds, counts):
