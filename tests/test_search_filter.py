@@ -115,14 +115,15 @@ def test_ring_only_bit_test_matches_the_decoded_matrix(case):
         (2, "-1,-1,1", False, (0, 3), (1, 10)),
         (2, "-7,5,1", False, (0, 1, 2), (1, 3)),
         (2, "1101", False, (0, 1), (1, 2)),
-        (2, "-1,-1,1", True, (0, 1, 4), (1, 3)),
-        (2, "1101", True, (0, 1, 2), (1, 3)),
         # sampled: over 2^16 codes
         (5, None, True, (0, 1, 2), (1, 2)),
         (6, None, True, (0, 1), (1, 3)),
         (5, None, False, (3, 4), (1, 3)),
         (4, "1101", False, (0, 1, 2), (1, 2)),
         (3, "-1,-1,1", False, (0, 1), (1, 3, MAX_DRAWS + 1)),  # the last spends every draw
+        # vectorial --ring-only: exhaustive, then sampled
+        (2, "-1,-1,1", True, (0, 1, 4), (1, 3)),
+        (2, "1101", True, (0, 1, 2), (1, 3)),
         (3, "-1,-1,1", True, (0, 1, 2), (1, 3)),
         (3, "1101", True, (0, 1), (1, 2, MAX_DRAWS + 1)),
     ],
